@@ -151,13 +151,15 @@ def _run_simulate(args, parser) -> int:
         parser.error("--start must be four comma-separated numbers x,y,px,py")
     try:
         start = PhasePoint(*(float(p) for p in pieces))
-    except ValueError:
-        parser.error(f"bad --start value {args.start!r}")
+    except ValueError as exc:
+        parser.error(f"bad --start value {args.start!r}: {exc}")
     try:
         cfg = SimConfig(h=args.h, t_end=args.t_end, integrator=args.integrator,
                         y_min=args.y_min, k1=args.k1, k2=args.k2, k3=args.k3)
     except ValueError as exc:
         parser.error(str(exc))
+    if start.y <= cfg.y_min:
+        parser.error(f"start y = {start.y!r} must exceed --y-min {cfg.y_min!r}")
 
     if args.invariants:
         inv_names = [n.strip() for n in args.invariants.split(",") if n.strip()]

@@ -42,6 +42,11 @@ class PhasePoint:
     px: float
     py: float
 
+    def __post_init__(self):
+        # one combined test: integrate builds a point at every step
+        if not all(map(math.isfinite, (self.x, self.y, self.px, self.py))):
+            raise ValueError(f"coordinates must be finite, got {self}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -54,12 +59,20 @@ class SimConfig:
     k3: float = 0.0
 
     def __post_init__(self):
+        for name in ("h", "t_end", "y_min", "k1", "k2", "k3"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.h <= 0:
             raise ValueError("step h must be positive")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
         if self.h > self.t_end:
             raise ValueError("step h must not exceed t_end")
+        steps = round(self.t_end / self.h)
+        if abs(steps * self.h - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(f"t_end = {self.t_end!r} is not a whole number of "
+                             f"steps of h = {self.h!r}")
         if self.y_min <= 0:
             raise ValueError("y_min must be positive")
         if self.integrator not in INTEGRATORS:

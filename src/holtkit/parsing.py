@@ -19,12 +19,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .phasepoly import PhasePoly
-from .ring import ParamPoly
+from .phasepoly import PhasePoly, Term
+from .ring import accumulate
 
 _TOKEN = re.compile(r"\s*(px|py|k1|k2|k3|x|u|y|\d+|\^|\*|/|\+|-)")
 
-_PARAMS = {"k1": 1, "k2": 2, "k3": 3}
+_PARAMS = ("k1", "k2", "k3")
 _PHASE = {"x": "ex", "u": "eu", "y": "eu", "px": "epx", "py": "epy"}
 
 
@@ -86,10 +86,10 @@ def _parse_rational(tok: _Tokens) -> Fraction:
     return Fraction(num)
 
 
-def _parse_term(tok: _Tokens) -> PhasePoly:
+def _parse_term(tok: _Tokens) -> tuple[Term, Fraction]:
     coeff = Fraction(1)
     exponents = {"ex": 0, "eu": 0, "epx": 0, "epy": 0}
-    params = [0, 0, 0]
+    params = {"k1": 0, "k2": 0, "k3": 0}
 
     t = tok.peek()
     if t is None:
@@ -117,34 +117,35 @@ def _parse_term(tok: _Tokens) -> PhasePoly:
             exponent = _parse_int(tok, signed=True)
         if exponent < 0 and name != "u":
             raise tok.error(f"negative exponent only allowed on u, not {name}")
-        if name in _PARAMS:
-            params[_PARAMS[name] - 1] += exponent
+        if name in params:
+            params[name] += exponent
         else:
             scale = 3 if name == "y" else 1
             exponents[_PHASE[name]] += scale * exponent
         saw_factor = True
 
-    poly = ParamPoly({tuple(params): coeff})
-    return PhasePoly.monomial(poly, **exponents)
+    return Term(**exponents, **params), coeff
 
 
-def parse_expression(text: str) -> PhasePoly:
-    """Parse canonical expression text into an exact PhasePoly."""
-    tok = _Tokens(text)
-    negate = False
-    if tok.peek() == "-":
+def _signed_terms(tok: _Tokens):
+    """(Term, signed coefficient) for each term of the expression, in order."""
+    op = tok.peek()
+    if op in ("+", "-"):
         tok.next()
-        negate = True
-    elif tok.peek() == "+":
-        tok.next()
-    result = _parse_term(tok)
-    if negate:
-        result = -result
-    while not tok.at_end():
+    while True:
+        key, coeff = _parse_term(tok)
+        yield key, -coeff if op == "-" else coeff
+        if tok.at_end():
+            return
         op = tok.peek()
         if op not in ("+", "-"):
             raise tok.error("expected '+' or '-' between terms")
         tok.next()
-        term = _parse_term(tok)
-        result = result + term if op == "+" else result - term
-    return result
+
+
+def parse_expression(text: str) -> PhasePoly:
+    """Parse canonical expression text into an exact PhasePoly.
+
+    Terms are summed into one dict as they are read, in a single pass.
+    """
+    return PhasePoly(accumulate({}, _signed_terms(_Tokens(text))))

@@ -6,8 +6,10 @@ u, fixed by y = u**3: every power y^(n/3) becomes the integer power u^n,
 the ring closes under multiplication, and d/dy acts on monomials as
 u^n -> (n/3) u^(n-3).  Only the u exponent may be negative.
 
-Coefficients are exact ParamPoly values in the couplings k1, k2, k3, so
-equality to zero is decidable and every identity check here is a proof.
+A PhasePoly is one flat sparse polynomial over the rationals: its terms map
+a Term, the seven exponents (x, u, px, py, k1, k2, k3), to a nonzero
+Fraction.  The couplings k1, k2, k3 are never differentiated, so equality
+to zero stays decidable and every identity check here is a proof.
 
 The Poisson bracket convention is
 
@@ -22,9 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, NamedTuple, Union
 
-from .ring import ParamPoly, Rational, Scalar, _frac, _join_signed, _term_text
+from .ring import (
+    ParamPoly,
+    Scalar,
+    SparsePoly,
+    _frac,
+    _join_signed,
+    _term_text,
+    accumulate,
+    substitute_terms,
+)
 
 
 class DomainError(ValueError):
@@ -39,44 +51,61 @@ class Monomial(NamedTuple):
     epx: int = 0
     epy: int = 0
 
-    @property
-    def momentum_degree(self) -> int:
-        return self.epx + self.epy
+
+class Term(NamedTuple):
+    """Exponents of one flat term x^ex u^eu px^epx py^epy k1^k1 k2^k2 k3^k3."""
+
+    ex: int = 0
+    eu: int = 0
+    epx: int = 0
+    epy: int = 0
+    k1: int = 0
+    k2: int = 0
+    k3: int = 0
 
     def sort_key(self):
-        # momentum-leading order, matching how the integrals are written
-        return (self.epx, self.epy, self.ex, self.eu)
+        # momentum-leading order, matching how the integrals are written;
+        # parameters last, so one monomial's parameter terms stay together
+        return (self.epx, self.epy, self.ex, self.eu, self.k1, self.k2, self.k3)
 
 
 Coefficient = Union[ParamPoly, int, Fraction]
 
-
-def _param(value: Coefficient) -> ParamPoly:
-    if isinstance(value, ParamPoly):
-        return value
-    return ParamPoly.const(_frac(value))
+# direction -> (exponent index, step): d/dv e -> e/step, exponent e - step
+_DIFF = {"x": (0, 1), "u": (1, 1), "y": (1, 3), "px": (2, 1), "py": (3, 1)}
 
 
-class PhasePoly:
-    """Sparse sum of monomials with ParamPoly coefficients.
+def _term(exponents: tuple) -> Term:
+    return tuple.__new__(Term, exponents)
+
+
+class PhasePoly(SparsePoly):
+    """Sparse sum of Terms with nonzero Fraction coefficients.
 
     Immutable; the zero polynomial is the empty mapping and equality is
     term-set equality.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Monomial, Coefficient] | None = None):
-        normalized: dict[Monomial, ParamPoly] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                m = Monomial(*mono)
-                if m.ex < 0 or m.epx < 0 or m.epy < 0:
-                    raise ValueError(f"negative exponent outside u in {m}")
-                c = _param(coeff)
-                if not c.is_zero:
-                    normalized[m] = c
-        self.terms = normalized
+    def __init__(self, terms: Mapping[Monomial | Term, Coefficient] | None = None):
+        """Keys are Monomials (or Terms); a ParamPoly coefficient expands into
+        one term per parameter monomial."""
+        out: dict[Term, Fraction] = {}
+        for key, coeff in (terms or {}).items():
+            mono, params = Monomial(*key[:4]), tuple(key[4:]) or (0, 0, 0)
+            if len(params) != 3:
+                raise ValueError(f"expected 4 or 7 exponents, got {key}")
+            if mono.ex < 0 or mono.epx < 0 or mono.epy < 0 or min(params) < 0:
+                raise ValueError(f"negative exponent outside u in {key}")
+            coeffs = coeff.terms if isinstance(coeff, ParamPoly) else {(0, 0, 0): _frac(coeff)}
+            accumulate(out, ((_term(mono + tuple(map(add, params, triple))), c)
+                             for triple, c in coeffs.items()))
+        self.terms = out
+
+    @classmethod
+    def _rekey(cls, terms: dict) -> "PhasePoly":
+        return cls._wrap({_term(k): c for k, c in terms.items()})
 
     @classmethod
     def zero(cls) -> "PhasePoly":
@@ -92,13 +121,9 @@ class PhasePoly:
         return cls({Monomial(ex, eu, epx, epy): coeff})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def momentum_order(self) -> int:
         """Highest total momentum degree over all terms (0 for the zero poly)."""
-        return max((m.momentum_degree for m in self.terms), default=0)
+        return max((t.epx + t.epy for t in self.terms), default=0)
 
     def _coerce(self, other) -> "PhasePoly | None":
         if isinstance(other, PhasePoly):
@@ -107,142 +132,42 @@ class PhasePoly:
             return PhasePoly.constant(other)
         return None
 
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    __hash__ = None
-
-    def __add__(self, other) -> "PhasePoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in o.terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        return PhasePoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PhasePoly":
-        return PhasePoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "PhasePoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "PhasePoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other) -> "PhasePoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[Monomial, ParamPoly] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in o.terms.items():
-                key = Monomial(ma.ex + mb.ex, ma.eu + mb.eu,
-                               ma.epx + mb.epx, ma.epy + mb.epy)
-                acc = out.get(key, 0) + ca * cb
-                if acc.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return PhasePoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PhasePoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = PhasePoly.constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def diff(self, var: str) -> "PhasePoly":
         """Partial derivative along x, u, px, py, or y.
 
         The y-derivative is the chain rule through u: a monomial u^n maps
         to (n/3) u^(n-3), which keeps the result inside the ring.
         """
-        out: dict[Monomial, ParamPoly] = {}
-        for m, c in self.terms.items():
-            if var == "x":
-                if m.ex == 0:
-                    continue
-                key, factor = m._replace(ex=m.ex - 1), Fraction(m.ex)
-            elif var == "u":
-                if m.eu == 0:
-                    continue
-                key, factor = m._replace(eu=m.eu - 1), Fraction(m.eu)
-            elif var == "y":
-                if m.eu == 0:
-                    continue
-                key, factor = m._replace(eu=m.eu - 3), Fraction(m.eu, 3)
-            elif var == "px":
-                if m.epx == 0:
-                    continue
-                key, factor = m._replace(epx=m.epx - 1), Fraction(m.epx)
-            elif var == "py":
-                if m.epy == 0:
-                    continue
-                key, factor = m._replace(epy=m.epy - 1), Fraction(m.epy)
-            else:
-                raise ValueError(f"unknown direction {var!r}")
-            acc = out.get(key, 0) + factor * c
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return PhasePoly(out)
+        try:
+            i, step = _DIFF[var]
+        except KeyError:
+            raise ValueError(f"unknown direction {var!r}") from None
+        # distinct terms stay distinct and nonzero, so nothing accumulates
+        return self._wrap({_term(t[:i] + (t[i] - step,) + t[i + 1:]):
+                           Fraction(c.numerator * t[i], c.denominator * step)
+                           for t, c in self.terms.items() if t[i]})
 
     def momentum_part(self, epx: int, epy: int) -> "PhasePoly":
         """Coefficient of px^epx * py^epy: matching terms with momenta stripped."""
-        return PhasePoly({m._replace(epx=0, epy=0): c
-                          for m, c in self.terms.items()
-                          if m.epx == epx and m.epy == epy})
+        return self._wrap({t._replace(epx=0, epy=0): c for t, c in self.terms.items()
+                           if t.epx == epx and t.epy == epy})
 
     def substitute_params(self, k1: Scalar | None = None, k2: Scalar | None = None,
                           k3: Scalar | None = None) -> "PhasePoly":
         """Exact parameter specialization; None leaves a parameter symbolic."""
-        out: dict[Monomial, ParamPoly] = {}
-        for m, c in self.terms.items():
-            cc = c.substitute(k1=k1, k2=k2, k3=k3)
-            if cc.is_zero:
-                continue
-            acc = out.get(m, 0) + cc
-            if acc.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        return PhasePoly(out)
+        return self._rekey(substitute_terms(self.terms, 4, (k1, k2, k3)))
 
     def compile(self, k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> "CompiledPoly":
-        """Freeze parameters to floats for fast repeated numeric evaluation."""
-        terms = []
-        for m, c in self.terms.items():
-            value = c.float_at(k1, k2, k3)
-            if value != 0.0:
-                terms.append((value, m.ex, m.eu, m.epx, m.epy))
-        terms.sort(key=lambda t: t[1:])
-        return CompiledPoly(tuple(terms))
+        """Freeze parameters to floats for fast repeated numeric evaluation.
+
+        The parameter terms of one phase monomial sum into one float term.
+        """
+        values: dict[tuple[int, int, int, int], float] = {}
+        for (ex, eu, epx, epy, e1, e2, e3), c in self.terms.items():
+            mono = (ex, eu, epx, epy)
+            values[mono] = values.get(mono, 0.0) + float(c) * k1**e1 * k2**e2 * k3**e3
+        return CompiledPoly(tuple((values[m], *m) for m in sorted(values)
+                                  if values[m] != 0.0))
 
     def evaluate(self, x: float, y: float, px: float, py: float, *,
                  k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> float:
@@ -252,25 +177,15 @@ class PhasePoly:
     def render(self) -> str:
         """Canonical text form; deterministic and parseable.
 
-        Terms are sorted momentum-first (epx, epy, ex, eu descending), and a
-        multi-term parameter coefficient is flattened into one rendered term
-        per parameter monomial so the output stays inside the grammar.
+        Terms are sorted momentum-first (epx, epy, ex, eu, then k1, k2, k3,
+        all descending), one rendered term per Term.
         """
         if not self.terms:
             return "0"
-        pieces = []
-        for m in sorted(self.terms, key=Monomial.sort_key, reverse=True):
-            coeff = self.terms[m]
-            extra = (("x", m.ex), ("u", m.eu), ("px", m.epx), ("py", m.epy))
-            for triple in sorted(coeff.terms, reverse=True):
-                pieces.append(_term_text(coeff.terms[triple], triple, extra))
-        return _join_signed(pieces)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"PhasePoly({self.render()!r})"
+        return _join_signed([
+            _term_text(self.terms[t], t[4:],
+                       (("x", t.ex), ("u", t.eu), ("px", t.epx), ("py", t.epy)))
+            for t in sorted(self.terms, key=Term.sort_key, reverse=True)])
 
 
 class CompiledPoly:

@@ -3,12 +3,18 @@
 Coefficients are arbitrary-precision rationals throughout; high-order
 bracket expansions overflow 64-bit integers, so fixed-width arithmetic is
 never used.
+
+SparsePoly holds what ParamPoly and phasepoly.PhasePoly share: a dict from
+an exponent tuple to a nonzero Fraction (the layout of SymPy's PolyElement),
+with one accumulate helper and one power routine behind every operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from math import lcm
+from operator import add
+from typing import Hashable, Iterable, Mapping, Union
 
 # fractions.Fraction already guarantees lowest terms, positive denominator,
 # and 0/1 for zero, which is exactly the coefficient contract we need.
@@ -26,15 +32,148 @@ def _frac(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class ParamPoly:
-    """Sparse polynomial in the coupling parameters k1, k2, k3.
+def accumulate(out: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
+    """Add each (key, coeff) into out, dropping keys whose sum cancels; returns out.
 
-    Terms map an exponent triple (e1, e2, e3) to a nonzero Rational; the
-    zero polynomial is the empty mapping.  Instances are immutable: every
-    operation returns a fresh normalized polynomial.
+    Coefficients are Fractions, or ints inside a product's pair loop.
+    """
+    for key, coeff in pairs:
+        if key in out:
+            acc = out[key] + coeff
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+        elif coeff:
+            out[key] = coeff
+    return out
+
+
+def substitute_terms(terms: Mapping[tuple, Fraction], first: int,
+                     values: tuple[Scalar | None, ...]) -> dict[tuple, Fraction]:
+    """Put exact values into the exponent slots first, first + 1, ... of every key.
+
+    A None value leaves its slot symbolic; a substituted slot becomes 0.
+    Keys of the result are plain tuples.
+    """
+    subs = [(first + i, _frac(v)) for i, v in enumerate(values) if v is not None]
+
+    def substituted():
+        for key, coeff in terms.items():
+            key = list(key)
+            for i, v in subs:
+                coeff *= v ** key[i]
+                key[i] = 0
+            yield tuple(key), coeff
+
+    return accumulate({}, substituted())
+
+
+def _scaled(terms: Mapping[tuple, Fraction]) -> tuple[int, list[tuple[tuple, int]]]:
+    """(d, [(key, c * d)]) with d the least common denominator of the terms."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+
+
+class SparsePoly:
+    """Immutable sparse polynomial: `terms` maps exponent tuples to nonzero Fractions.
+
+    The zero polynomial is the empty mapping and equality is term-set
+    equality.  Subclasses define _coerce (which operands they accept),
+    _rekey (the key type of a product) and render.
     """
 
     __slots__ = ("terms",)
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """Trusted constructor: keys valid, every value a nonzero Fraction."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def _rekey(cls, terms: dict):
+        return cls._wrap(terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
+
+    __hash__ = None  # mutable mapping inside; identity by term set only
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._wrap(accumulate(dict(self.terms), o.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._wrap(accumulate(dict(self.terms),
+                                     ((k, -c) for k, c in o.terms.items())))
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        # integer numerators over one denominator per operand: the pair loop
+        # runs on ints, and each result term is reduced to lowest terms once
+        da, left = _scaled(self.terms)
+        db, right = _scaled(o.terms)
+        sums = accumulate({}, ((tuple(map(add, a, b)), na * nb)
+                               for a, na in left for b, nb in right))
+        den = da * db
+        return self._rekey({k: Fraction(n, den) for k, n in sums.items()})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        """Repeated squaring; x**0 is the constant 1."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result, base = None, self
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return self._coerce(1) if result is None else result
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()!r})"
+
+
+class ParamPoly(SparsePoly):
+    """Sparse polynomial in the coupling parameters k1, k2, k3.
+
+    Terms map an exponent triple (e1, e2, e3) to a nonzero Rational.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Triple, Scalar] | None = None):
         normalized: dict[Triple, Fraction] = {}
@@ -60,84 +199,12 @@ class ParamPoly:
         triple = tuple(1 if i == index else 0 for i in (1, 2, 3))
         return cls({triple: Fraction(1)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _coerce(self, other) -> "ParamPoly | None":
         if isinstance(other, ParamPoly):
             return other
         if isinstance(other, (int, Fraction)):
             return ParamPoly.const(other)
         return None
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    __hash__ = None  # mutable mapping inside; identity by term set only
-
-    def __add__(self, other) -> "ParamPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for triple, coeff in o.terms.items():
-            acc = out.get(triple, 0) + coeff
-            if acc:
-                out[triple] = acc
-            else:
-                out.pop(triple, None)
-        return ParamPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly({t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other) -> "ParamPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "ParamPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other) -> "ParamPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[Triple, Fraction] = {}
-        for (a1, a2, a3), ca in self.terms.items():
-            for (b1, b2, b3), cb in o.terms.items():
-                key = (a1 + b1, a2 + b2, a3 + b3)
-                acc = out.get(key, 0) + ca * cb
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return ParamPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "ParamPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = ParamPoly.const(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, k1: Scalar, k2: Scalar, k3: Scalar) -> Fraction:
         """Exact substitution of rational parameter values."""
@@ -150,23 +217,7 @@ class ParamPoly:
     def substitute(self, k1: Scalar | None = None, k2: Scalar | None = None,
                    k3: Scalar | None = None) -> "ParamPoly":
         """Substitute the given parameters exactly, leave the rest symbolic."""
-        values = (k1, k2, k3)
-        out: dict[Triple, Fraction] = {}
-        for triple, coeff in self.terms.items():
-            c = coeff
-            key = list(triple)
-            for i, v in enumerate(values):
-                if v is not None:
-                    c *= _frac(v) ** triple[i]
-                    key[i] = 0
-            if c:
-                k = (key[0], key[1], key[2])
-                acc = out.get(k, 0) + c
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
-        return ParamPoly(out)
+        return self._wrap(substitute_terms(self.terms, 0, (k1, k2, k3)))
 
     def float_at(self, k1: float, k2: float, k3: float) -> float:
         """Double-precision value of the polynomial at float parameters."""
@@ -179,16 +230,8 @@ class ParamPoly:
         """Canonical text: k1 terms before k2 before k3, constants last."""
         if not self.terms:
             return "0"
-        pieces = []
-        for triple in sorted(self.terms, reverse=True):
-            pieces.append(_term_text(self.terms[triple], triple))
-        return _join_signed(pieces)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"ParamPoly({self.render()!r})"
+        return _join_signed([_term_text(self.terms[triple], triple)
+                             for triple in sorted(self.terms, reverse=True)])
 
 
 K1 = ParamPoly.gen(1)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +96,14 @@ def test_fields_are_hamiltonian_fields_of_their_integrals():
 def test_sources_are_nonempty():
     for name in catalog.names():
         assert catalog.build(name).source.strip()
+
+
+def test_renders_match_the_golden_file():
+    """render() of every entry, byte for byte as the nested-coefficient kernel
+    printed it; the flat kernel must not change the canonical text."""
+    golden = Path(__file__).parent / "data" / "catalog_render.txt"
+    lines = golden.read_text().splitlines()
+    assert [line.split("\t", 1)[0] for line in lines] == catalog.names()
+    for line in lines:
+        name, text = line.split("\t", 1)
+        assert catalog.build(name).expression.render() == text, name

@@ -134,6 +134,27 @@ def test_simulate_rejects_bad_start():
         assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ("--h", "nan"),
+    ("--h", "inf"),
+    ("--t-end", "inf"),
+    ("--t-end", "nan"),
+    ("--y-min", "nan"),
+    ("--k2", "nan"),
+    ("--k3", "-inf"),
+    ("--h", "0.3", "--t-end", "1"),
+    ("--start=0,nan,0.5,0.5",),
+    ("--start=inf,1,0.5,0.5",),
+    ("--start=0,1e-7,0,0",),
+])
+def test_simulate_rejects_bad_numbers(capsys, extra):
+    argv = ["simulate", "--potential", "U", "--start", "0,1,0.5,0.5", *extra]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_simulate_rejects_non_potential():
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--potential", "K2_3", "--start", "0,1,0,0"])

@@ -38,6 +38,30 @@ def test_simconfig_validation():
         SimConfig(h=1e-3, t_end=1.0, integrator="euler")
 
 
+@pytest.mark.parametrize("field", ["h", "t_end", "y_min", "k1", "k2", "k3"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_simconfig_rejects_non_finite_values(field, bad):
+    values = dict(h=1e-3, t_end=1.0)
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(**values)
+
+
+def test_simconfig_requires_whole_number_of_steps():
+    with pytest.raises(ValueError, match="whole number"):
+        SimConfig(h=0.3, t_end=1.0)
+    for h, t_end in ((1e-3, 5.5), (1e-2, 0.1), (0.05, 0.1), (0.25, 0.5), (4e-3, 1.0)):
+        assert SimConfig(h=h, t_end=t_end).t_end == t_end
+
+
+@pytest.mark.parametrize("coords", [(float("nan"), 1.0, 0.0, 0.0),
+                                    (0.0, float("inf"), 0.0, 0.0),
+                                    (0.0, 1.0, float("-inf"), float("nan"))])
+def test_phase_point_rejects_non_finite_coordinates(coords):
+    with pytest.raises(ValueError, match="finite"):
+        PhasePoint(*coords)
+
+
 def test_start_must_clear_the_guard():
     with pytest.raises(ValueError):
         integrate(U, PhasePoint(0.0, 1e-7, 0.0, 0.0), SimConfig(h=1e-3, t_end=1.0))

@@ -76,3 +76,9 @@ def test_round_trip_on_catalog_expressions():
             continue
         text = entry.expression.render()
         assert parse_expression(text) == entry.expression, name
+
+
+def test_round_trip_on_a_large_symbolic_product():
+    from holtkit import catalog
+    p = catalog.build("J_h3_6_k").expression ** 2
+    assert parse_expression(p.render()) == p

@@ -142,6 +142,35 @@ def test_render_flattens_parameter_sums():
     assert f.render() == "k2*x + k3*x"
 
 
+def test_param_poly_coefficients_expand_into_flat_terms():
+    f = PhasePoly({Monomial(1, -2, 1, 0): K1 + 2 * K2 - Fraction(1, 3) * K3,
+                   Monomial(): 1 + K1**2,
+                   Monomial(0, 1, 0, 2): 5})
+    expansion = (K1 * X * upow(-2) * PX + 2 * K2 * X * upow(-2) * PX
+                 - Fraction(1, 3) * K3 * X * upow(-2) * PX
+                 + 1 + K1**2 + 5 * U * PY**2)
+    assert f == expansion
+    assert len(f.terms) == 6
+    assert PhasePoly(f.terms) == f  # flat Term keys are accepted back
+    assert f.render() == ("k1*x*u^-2*px + 2*k2*x*u^-2*px - 1/3*k3*x*u^-2*px"
+                          " + 5*u*py^2 + k1^2 + 1")
+
+
+def test_constructor_rejects_malformed_keys():
+    with pytest.raises(ValueError):
+        PhasePoly({(0, 0, 0, 0, -1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        PhasePoly({(0, 0, 0, 0, 1): 1})
+    with pytest.raises(ValueError):
+        X.diff("z")
+
+
+def test_compile_sums_parameter_terms_of_one_monomial():
+    g = ((K1 + K2) * X).compile(k1=1.0, k2=2.0)
+    assert g.terms == ((3.0, 1, 0, 0, 0),)
+    assert ((K1 - K2) * X).compile(k1=2.0, k2=2.0).terms == ()
+
+
 def test_vector_field_apply_is_directional_derivative():
     V = VectorField(PX, PY, -X, PhasePoly.zero())
     f = X * PX
