@@ -5,6 +5,7 @@ from .phasepoly import (
     DomainError,
     Monomial,
     PhasePoly,
+    Term,
     VectorField,
     PX,
     PY,
@@ -27,6 +28,7 @@ __all__ = [
     "DomainError",
     "Monomial",
     "PhasePoly",
+    "Term",
     "VectorField",
     "PX",
     "PY",

@@ -99,7 +99,7 @@ class PhasePoly(SparsePoly):
             if mono.ex < 0 or mono.epx < 0 or mono.epy < 0 or min(params) < 0:
                 raise ValueError(f"negative exponent outside u in {key}")
             coeffs = coeff.terms if isinstance(coeff, ParamPoly) else {(0, 0, 0): _frac(coeff)}
-            accumulate(out, ((_term(mono + tuple(map(add, params, triple))), c)
+            accumulate(out, ((_term((*mono, *map(add, params, triple))), c)
                              for triple, c in coeffs.items()))
         self.terms = out
 

@@ -12,6 +12,7 @@ with one accumulate helper and one power routine behind every operation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from operator import add
 from typing import Hashable, Iterable, Mapping, Union
@@ -71,7 +72,7 @@ def substitute_terms(terms: Mapping[tuple, Fraction], first: int,
 
 def _scaled(terms: Mapping[tuple, Fraction]) -> tuple[int, list[tuple[tuple, int]]]:
     """(d, [(key, c * d)]) with d the least common denominator of the terms."""
-    den = lcm(*(c.denominator for c in terms.values()))
+    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
     return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
 
 
@@ -79,8 +80,8 @@ class SparsePoly:
     """Immutable sparse polynomial: `terms` maps exponent tuples to nonzero Fractions.
 
     The zero polynomial is the empty mapping and equality is term-set
-    equality.  Subclasses define _coerce (which operands they accept),
-    _rekey (the key type of a product) and render.
+    equality.  Subclasses define _coerce (which operands they accept) and
+    render, and override _rekey when their keys are not plain tuples.
     """
 
     __slots__ = ("terms",)
@@ -140,7 +141,7 @@ class SparsePoly:
         # runs on ints, and each result term is reduced to lowest terms once
         da, left = _scaled(self.terms)
         db, right = _scaled(o.terms)
-        sums = accumulate({}, ((tuple(map(add, a, b)), na * nb)
+        sums = accumulate({}, (((*map(add, a, b),), na * nb)
                                for a, na in left for b, nb in right))
         den = da * db
         return self._rekey({k: Fraction(n, den) for k, n in sums.items()})
