@@ -136,14 +136,15 @@ def _Gamma_H() -> VectorField:
     )
 
 
+# name -> (builder, source, the integrals its Hamiltonian conserves)
 _POTENTIALS = {
-    "V_h1": (_V_h1, "Holt (1982)"),
-    "V_h2": (_V_h2, "Holt family; Tsiganov (1999)"),
-    "V_h3": (_V_h3, "Holt family; Tsiganov (1999)"),
-    "V_h1_k": (_V_h1_k, "three-parameter extension of V_h1"),
-    "V_h2_k": (_V_h2_k, "three-parameter extension of V_h2"),
-    "V_h3_k": (_V_h3_k, "three-parameter extension of V_h3"),
-    "U": (_U, "Post and Winternitz (2011)"),
+    "V_h1": (_V_h1, "Holt (1982)", ("J_h1_3",)),
+    "V_h2": (_V_h2, "Holt family; Tsiganov (1999)", ("J_h2_4",)),
+    "V_h3": (_V_h3, "Holt family; Tsiganov (1999)", ("J_h3_6",)),
+    "V_h1_k": (_V_h1_k, "three-parameter extension of V_h1", ("J_h1_3_k",)),
+    "V_h2_k": (_V_h2_k, "three-parameter extension of V_h2", ("J_h2_4_k",)),
+    "V_h3_k": (_V_h3_k, "three-parameter extension of V_h3", ("J_h3_6_k",)),
+    "U": (_U, "Post and Winternitz (2011)", ("K2_3", "K3_4", "K4_6")),
 }
 
 _INTEGRALS = {
@@ -178,11 +179,11 @@ def names() -> list[str]:
 def build(name: str) -> CatalogEntry:
     """Construct a fresh catalog entry with symbolic k-coefficients."""
     if name in _POTENTIALS:
-        builder, source = _POTENTIALS[name]
+        builder, source, _ = _POTENTIALS[name]
         expr = builder()
         return CatalogEntry(name, "potential", expr, expr.momentum_order, source)
     if name.startswith("H_") and name[2:] in _POTENTIALS:
-        builder, source = _POTENTIALS[name[2:]]
+        builder, source, _ = _POTENTIALS[name[2:]]
         expr = _hamiltonian(builder())
         return CatalogEntry(name, "hamiltonian", expr, expr.momentum_order,
                             f"kinetic term plus {name[2:]}; {source}")
@@ -197,6 +198,11 @@ def build(name: str) -> CatalogEntry:
     raise KeyError(f"unknown catalog name {name!r}; see names()")
 
 
+def invariants(potential: str) -> list[str]:
+    """The Hamiltonian of a catalog potential, then the integrals it conserves."""
+    return [f"H_{potential}", *_POTENTIALS[potential][2]]
+
+
 def specialize(entry: CatalogEntry, k1: Scalar | None = None,
                k2: Scalar | None = None, k3: Scalar | None = None) -> CatalogEntry:
     """Substitute given parameters exactly, leaving the others symbolic."""
@@ -204,12 +210,8 @@ def specialize(entry: CatalogEntry, k1: Scalar | None = None,
     if isinstance(expr, VectorField):
         new = VectorField(*(c.substitute_params(k1=k1, k2=k2, k3=k3)
                             for c in expr.components()))
-        if new.is_zero:
-            raise ValueError(f"specialization annihilates {entry.name}")
-        order = new.momentum_order
     else:
         new = expr.substitute_params(k1=k1, k2=k2, k3=k3)
-        if new.is_zero:
-            raise ValueError(f"specialization annihilates {entry.name}")
-        order = new.momentum_order
-    return replace(entry, expression=new, momentum_order=order)
+    if new.is_zero:
+        raise ValueError(f"specialization annihilates {entry.name}")
+    return replace(entry, expression=new, momentum_order=new.momentum_order)

@@ -1,7 +1,8 @@
 """Command-line interface: verify, bracket, catalog, simulate.
 
-Exit codes: 0 success, 1 verification failure, 2 argument errors,
-3 trajectory domain abort.  All stdout is deterministic for fixed
+Exit codes: 0 success, 1 verification failure, 2 argument errors or an
+unwritable --out, 3 trajectory domain abort (the y guard, a non-finite
+state or a numeric overflow).  All stdout is deterministic for fixed
 arguments; timing data only ever goes into the JSON report file.
 """
 
@@ -23,18 +24,6 @@ from .dynamics import (
 from .parsing import ParseError, parse_expression
 from .phasepoly import DomainError, PhasePoly, poisson_bracket
 
-# default drift invariants per potential: its Hamiltonian plus the
-# integrals conserved by it
-_DEFAULT_INVARIANTS = {
-    "V_h1": ("H_V_h1", "J_h1_3"),
-    "V_h2": ("H_V_h2", "J_h2_4"),
-    "V_h3": ("H_V_h3", "J_h3_6"),
-    "V_h1_k": ("H_V_h1_k", "J_h1_3_k"),
-    "V_h2_k": ("H_V_h2_k", "J_h2_4_k"),
-    "V_h3_k": ("H_V_h3_k", "J_h3_6_k"),
-    "U": ("H_U", "K2_3", "K3_4", "K4_6"),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -44,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the exact identity suite")
-    p_verify.add_argument("--suite", default="full", choices=["full"],
-                          help="which suite to run")
     p_verify.add_argument("--out", metavar="PATH",
                           help="write the JSON report here")
 
@@ -98,12 +85,21 @@ def _resolve_expression(text: str, parser: argparse.ArgumentParser) -> PhasePoly
         parser.error(f"cannot parse {text!r}: {exc}")
 
 
-def _run_verify(args) -> int:
+def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
+    """Write text to the --out path; a path that cannot be written exits 2."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.exit(2, f"{parser.prog}: error: cannot write --out {path}: "
+                       f"{exc.strerror}\n")
+
+
+def _run_verify(args, parser) -> int:
     report = verify.full_suite()
     sys.stdout.write(report.render_text())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
+        _write_out(args.out, report.to_json(), parser)
     return 0 if report.all_passed else 1
 
 
@@ -164,7 +160,7 @@ def _run_simulate(args, parser) -> int:
     if args.invariants:
         inv_names = [n.strip() for n in args.invariants.split(",") if n.strip()]
     else:
-        inv_names = list(_DEFAULT_INVARIANTS.get(args.potential, ()))
+        inv_names = catalog.invariants(args.potential)
     invariants = []
     for n in inv_names:
         try:
@@ -189,8 +185,7 @@ def _run_simulate(args, parser) -> int:
         return 3
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table)
+        _write_out(args.out, table, parser)
     else:
         sys.stdout.write(table)
     print(f"samples: {report.samples}")
@@ -204,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        return _run_verify(args)
+        return _run_verify(args, parser)
     if args.command == "bracket":
         return _run_bracket(args, parser)
     if args.command == "catalog":

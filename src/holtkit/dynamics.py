@@ -43,9 +43,10 @@ class PhasePoint:
     py: float
 
     def __post_init__(self):
-        # one combined test: integrate builds a point at every step
+        # one combined test: integrate builds a point at every step, so a
+        # state that blows up mid-run ends as a DomainError
         if not all(map(math.isfinite, (self.x, self.y, self.px, self.py))):
-            raise ValueError(f"coordinates must be finite, got {self}")
+            raise DomainError(f"coordinates must be finite, got {self}")
 
 
 @dataclass(frozen=True)

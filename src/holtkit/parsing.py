@@ -12,6 +12,8 @@ A leading '-' on the first term is allowed.  Exponents are signed integers
 but only u may carry a negative one; y is sugar for u^3 and therefore only
 accepts non-negative exponents.  render() output of ring and phasepoly
 parses back to an equal value.
+
+The names, and the Term slot each one fills, come from phasepoly.SLOTS.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .phasepoly import PhasePoly, Term
+from .phasepoly import SLOTS, PhasePoly, Term
 from .ring import accumulate
 
-_TOKEN = re.compile(r"\s*(px|py|k1|k2|k3|x|u|y|\d+|\^|\*|/|\+|-)")
-
-_PARAMS = ("k1", "k2", "k3")
-_PHASE = {"x": "ex", "u": "eu", "y": "eu", "px": "epx", "py": "epy"}
+# longest names first: an alternation takes the first alternative that matches
+_NAMES = "|".join(sorted(SLOTS, key=len, reverse=True))
+_TOKEN = re.compile(rf"\s*({_NAMES}|\d+|[-+*/^])")
 
 
 class ParseError(ValueError):
@@ -38,114 +39,83 @@ class ParseError(ValueError):
         super().__init__(f"{reason} at position {pos}: {text[pos:pos + 12]!r}")
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of text, closed by "" where matching stops, and their starts.
 
-    def peek(self) -> str | None:
-        m = _TOKEN.match(self.text, self.pos)
-        return m.group(1) if m else None
-
-    def next(self) -> str:
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            raise ParseError(self.text, self.pos, "unexpected character")
-        self.pos = m.end()
-        return m.group(1)
-
-    def at_end(self) -> bool:
-        if self.peek() is not None:
-            return False
-        return not self.text[self.pos:].strip()
-
-    def error(self, reason: str) -> ParseError:
-        return ParseError(self.text, self.pos, reason)
-
-
-def _parse_int(tok: _Tokens, *, signed: bool) -> int:
-    sign = 1
-    if signed and tok.peek() == "-":
-        tok.next()
-        sign = -1
-    t = tok.peek()
-    if t is None or not t.isdigit():
-        raise tok.error("expected integer")
-    tok.next()
-    return sign * int(t)
-
-
-def _parse_rational(tok: _Tokens) -> Fraction:
-    num = _parse_int(tok, signed=False)
-    if tok.peek() == "/":
-        tok.next()
-        den = _parse_int(tok, signed=False)
-        if den == 0:
-            raise tok.error("zero denominator")
-        return Fraction(num, den)
-    return Fraction(num)
-
-
-def _parse_term(tok: _Tokens) -> tuple[Term, Fraction]:
-    coeff = Fraction(1)
-    exponents = {"ex": 0, "eu": 0, "epx": 0, "epy": 0}
-    params = {"k1": 0, "k2": 0, "k3": 0}
-
-    t = tok.peek()
-    if t is None:
-        raise tok.error("expected term")
-    saw_factor = False
-    if t.isdigit():
-        coeff = _parse_rational(tok)
-        saw_factor = True
-        if tok.peek() == "*":
-            tok.next()
-            saw_factor = False
-        elif tok.peek() in _PARAMS or tok.peek() in _PHASE:
-            raise tok.error("missing '*' after numeric coefficient")
-
-    while not saw_factor or tok.peek() == "*":
-        if saw_factor:
-            tok.next()  # consume '*'
-        name = tok.peek()
-        if name is None or (name not in _PARAMS and name not in _PHASE):
-            raise tok.error("expected variable or parameter name")
-        tok.next()
-        exponent = 1
-        if tok.peek() == "^":
-            tok.next()
-            exponent = _parse_int(tok, signed=True)
-        if exponent < 0 and name != "u":
-            raise tok.error(f"negative exponent only allowed on u, not {name}")
-        if name in params:
-            params[name] += exponent
-        else:
-            scale = 3 if name == "y" else 1
-            exponents[_PHASE[name]] += scale * exponent
-        saw_factor = True
-
-    return Term(**exponents, **params), coeff
-
-
-def _signed_terms(tok: _Tokens):
-    """(Term, signed coefficient) for each term of the expression, in order."""
-    op = tok.peek()
-    if op in ("+", "-"):
-        tok.next()
-    while True:
-        key, coeff = _parse_term(tok)
-        yield key, -coeff if op == "-" else coeff
-        if tok.at_end():
-            return
-        op = tok.peek()
-        if op not in ("+", "-"):
-            raise tok.error("expected '+' or '-' between terms")
-        tok.next()
+    A token starts where the whitespace before it starts, which is the end
+    of the token before it: the position an error at that token reports.
+    Two lists rather than one of pairs: CPython keeps up to 2000 freed
+    2-tuples on a free list, which would hold a long text's pairs after the
+    parse has returned.
+    """
+    tokens, starts, pos = [], [], 0
+    while m := _TOKEN.match(text, pos):
+        tokens.append(m[1])
+        starts.append(pos)
+        pos = m.end()
+    tokens.append("")
+    starts.append(pos)
+    return tokens, starts
 
 
 def parse_expression(text: str) -> PhasePoly:
-    """Parse canonical expression text into an exact PhasePoly.
+    """Parse canonical expression text into an exact PhasePoly."""
+    tokens, starts = _tokenize(text)
+    op = tokens[0]
+    i = 1 if op in ("+", "-") else 0  # index of the next unread token
 
-    Terms are summed into one dict as they are read, in a single pass.
-    """
-    return PhasePoly(accumulate({}, _signed_terms(_Tokens(text))))
+    def error(reason: str) -> ParseError:
+        return ParseError(text, starts[i], reason)
+
+    def integer() -> int:
+        nonlocal i
+        tok = tokens[i]
+        if not tok.isdigit():
+            raise error("expected integer")
+        i += 1
+        return int(tok)
+
+    pairs = []
+    while True:
+        if not tokens[i]:
+            raise error("expected term")
+        coeff = Fraction(1)
+        exponents = [0] * len(Term._fields)
+        more = True  # whether a factor must follow
+        if tokens[i].isdigit():
+            coeff = Fraction(integer())
+            if tokens[i] == "/":
+                i += 1
+                den = integer()
+                if den == 0:
+                    raise error("zero denominator")
+                coeff /= den
+            more = tokens[i] == "*"
+            if not more and tokens[i] in SLOTS:
+                raise error("missing '*' after numeric coefficient")
+            i += more
+        while more:
+            name = tokens[i]
+            if name not in SLOTS:
+                raise error("expected variable or parameter name")
+            i += 1
+            exponent = 1
+            if tokens[i] == "^":
+                i += 1
+                negative = tokens[i] == "-"
+                i += negative
+                exponent = -integer() if negative else integer()
+            if exponent < 0 and name != "u":
+                raise error(f"negative exponent only allowed on u, not {name}")
+            slot, scale = SLOTS[name]
+            exponents[slot] += scale * exponent
+            more = tokens[i] == "*"
+            i += more
+        pairs.append((Term(*exponents), -coeff if op == "-" else coeff))
+
+        op = tokens[i]
+        if not op and not text[starts[i]:].strip():
+            return PhasePoly._wrap(accumulate({}, pairs))
+        if op not in ("+", "-"):
+            raise error("expected '+' or '-' between terms")
+        i += 1

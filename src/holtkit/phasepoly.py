@@ -40,7 +40,8 @@ from .ring import (
 
 
 class DomainError(ValueError):
-    """Numeric evaluation outside the y > 0 half-plane."""
+    """Numeric evaluation outside its domain: y <= 0, a non-finite point,
+    or a value too large for a float."""
 
 
 class Monomial(NamedTuple):
@@ -69,10 +70,14 @@ class Term(NamedTuple):
         return (self.epx, self.epy, self.ex, self.eu, self.k1, self.k2, self.k3)
 
 
-Coefficient = Union[ParamPoly, int, Fraction]
+# name -> (Term slot, scale): the exponent e of a name is scale * e in its
+# slot, so y is u^3.  Parameters k1-k3 fill slots 4-6 and are never
+# differentiated.  The parser and PhasePoly.diff both read this table.
+SLOTS = {"x": (0, 1), "u": (1, 1), "y": (1, 3), "px": (2, 1), "py": (3, 1),
+         "k1": (4, 1), "k2": (5, 1), "k3": (6, 1)}
+_PARAM_SLOT = 4
 
-# direction -> (exponent index, step): d/dv e -> e/step, exponent e - step
-_DIFF = {"x": (0, 1), "u": (1, 1), "y": (1, 3), "px": (2, 1), "py": (3, 1)}
+Coefficient = Union[ParamPoly, int, Fraction]
 
 
 def _term(exponents: tuple) -> Term:
@@ -138,13 +143,12 @@ class PhasePoly(SparsePoly):
         The y-derivative is the chain rule through u: a monomial u^n maps
         to (n/3) u^(n-3), which keeps the result inside the ring.
         """
-        try:
-            i, step = _DIFF[var]
-        except KeyError:
-            raise ValueError(f"unknown direction {var!r}") from None
+        i, scale = SLOTS.get(var, (_PARAM_SLOT, 0))
+        if i >= _PARAM_SLOT:
+            raise ValueError(f"unknown direction {var!r}")
         # distinct terms stay distinct and nonzero, so nothing accumulates
-        return self._wrap({_term(t[:i] + (t[i] - step,) + t[i + 1:]):
-                           Fraction(c.numerator * t[i], c.denominator * step)
+        return self._wrap({_term(t[:i] + (t[i] - scale,) + t[i + 1:]):
+                           Fraction(c.numerator * t[i], c.denominator * scale)
                            for t, c in self.terms.items() if t[i]})
 
     def momentum_part(self, epx: int, epy: int) -> "PhasePoly":
@@ -163,9 +167,13 @@ class PhasePoly(SparsePoly):
         The parameter terms of one phase monomial sum into one float term.
         """
         values: dict[tuple[int, int, int, int], float] = {}
-        for (ex, eu, epx, epy, e1, e2, e3), c in self.terms.items():
-            mono = (ex, eu, epx, epy)
-            values[mono] = values.get(mono, 0.0) + float(c) * k1**e1 * k2**e2 * k3**e3
+        try:
+            for (ex, eu, epx, epy, e1, e2, e3), c in self.terms.items():
+                mono = (ex, eu, epx, epy)
+                values[mono] = values.get(mono, 0.0) + float(c) * k1**e1 * k2**e2 * k3**e3
+        except OverflowError:
+            raise DomainError(f"parameter powers overflow at k1 = {k1!r}, "
+                              f"k2 = {k2!r}, k3 = {k3!r}") from None
         return CompiledPoly(tuple((values[m], *m) for m in sorted(values)
                                   if values[m] != 0.0))
 
@@ -201,8 +209,12 @@ class CompiledPoly:
             raise DomainError(f"evaluation requires y > 0, got y = {y}")
         u = y ** (1.0 / 3.0)
         total = 0.0
-        for c, ex, eu, epx, epy in self.terms:
-            total += c * x**ex * u**eu * px**epx * py**epy
+        try:
+            for c, ex, eu, epx, epy in self.terms:
+                total += c * x**ex * u**eu * px**epx * py**epy
+        except OverflowError:
+            raise DomainError(f"evaluation overflows at (x, y, px, py) = "
+                              f"({x!r}, {y!r}, {px!r}, {py!r})") from None
         return total
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from holtkit import catalog
-from holtkit.phasepoly import PhasePoly, VectorField, X, hamiltonian_vf
+from holtkit.phasepoly import PhasePoly, VectorField, X, hamiltonian_vf, poisson_bracket
 from holtkit.ring import K2
 
 
@@ -107,3 +107,19 @@ def test_renders_match_the_golden_file():
     for line in lines:
         name, text = line.split("\t", 1)
         assert catalog.build(name).expression.render() == text, name
+
+
+def test_invariants_are_conserved_by_their_potential():
+    potentials = [n for n in catalog.names() if catalog.build(n).kind == "potential"]
+    listed = []
+    for name in potentials:
+        hamiltonian, *integrals = catalog.invariants(name)
+        assert hamiltonian == f"H_{name}"
+        H = catalog.build(hamiltonian).expression
+        for j in integrals:
+            assert poisson_bracket(catalog.build(j).expression, H).is_zero, (name, j)
+        listed += integrals
+    # every integral belongs to exactly one potential
+    assert sorted(listed) == sorted(n for n in catalog.names()
+                                    if catalog.build(n).kind == "integral")
+    assert catalog.invariants("U") == ["H_U", "K2_3", "K3_4", "K4_6"]

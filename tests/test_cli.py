@@ -76,7 +76,7 @@ def test_catalog_list_has_all_entries(capsys):
 
 def test_verify_passes_and_writes_report(tmp_path, capsys):
     out_path = tmp_path / "report.json"
-    code, out, _ = run(capsys, "verify", "--suite", "full", "--out", str(out_path))
+    code, out, _ = run(capsys, "verify", "--out", str(out_path))
     assert code == 0
     assert "all checks passed" in out
     doc = json.loads(out_path.read_text())
@@ -125,6 +125,32 @@ def test_simulate_domain_abort_exit_code(capsys):
                          "--start", "0,1,0.5,0.5", "--h", "0.001", "--t-end", "10")
     assert code == 3
     assert "aborted" in err
+
+
+@pytest.mark.parametrize("extra, cause", [
+    (("--k2", "1e308"), "finite"),    # the state turns infinite mid-run
+    (("--k3", "1e300"), "overflow"),  # a power in the force overflows
+])
+def test_simulate_blow_up_is_a_domain_error(tmp_path, capsys, extra, cause):
+    code, _, err = run(capsys, "simulate", "--potential", "U", "--start", "0,1,0,0",
+                         *extra, "--h", "0.001", "--t-end", "0.01",
+                         "--out", str(tmp_path / "t.tsv"))
+    assert code == 3
+    assert err.startswith("domain error:") and cause in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("simulate", "--potential", "U", "--k2", "1", "--start", "0,1,0.5,0.5", "--t-end", "0.01"),
+])
+def test_unwritable_out_is_an_argument_error(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "out.txt")
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--out", path])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert path in err and err.count("\n") == 1
 
 
 def test_simulate_rejects_bad_start():

@@ -58,6 +58,47 @@ def test_rejects_malformed_text():
             parse_expression(bad)
 
 
+# (text, pos, reason): the diagnostics are part of the parser's contract;
+# pos is where the whitespace before the offending token starts
+MALFORMED = [
+    ("", 0, "expected term"),
+    ("   ", 0, "expected term"),
+    ("x +", 3, "expected term"),
+    ("+", 1, "expected term"),
+    ("* x", 0, "expected variable or parameter name"),
+    ("2x", 1, "missing '*' after numeric coefficient"),
+    ("2 px", 1, "missing '*' after numeric coefficient"),
+    ("x^", 2, "expected integer"),
+    ("x^-k1", 3, "expected integer"),
+    ("x^+2", 2, "expected integer"),
+    ("u^--1", 3, "expected integer"),
+    ("1/0", 3, "zero denominator"),
+    ("3/", 2, "expected integer"),
+    ("1/2/3", 3, "expected '+' or '-' between terms"),
+    ("2*3", 2, "expected variable or parameter name"),
+    ("2^3", 1, "expected '+' or '-' between terms"),
+    ("px py", 2, "expected '+' or '-' between terms"),
+    ("k12", 2, "expected '+' or '-' between terms"),
+    ("x*", 2, "expected variable or parameter name"),
+    ("y^-2", 4, "negative exponent only allowed on u, not y"),
+    ("k1^-1", 5, "negative exponent only allowed on u, not k1"),
+    ("x^-1", 4, "negative exponent only allowed on u, not x"),
+    ("x + $", 3, "expected term"),
+    ("x & y", 1, "expected '+' or '-' between terms"),
+    ("x\u00b2", 1, "expected '+' or '-' between terms"),
+    ("- -x", 1, "expected variable or parameter name"),
+    ("x - - y", 3, "expected variable or parameter name"),
+    ("1/2*", 4, "expected variable or parameter name"),
+]
+
+
+@pytest.mark.parametrize("text, pos, reason", MALFORMED)
+def test_malformed_text_reports_position_and_reason(text, pos, reason):
+    with pytest.raises(ParseError) as exc_info:
+        parse_expression(text)
+    assert (exc_info.value.text, exc_info.value.pos, exc_info.value.reason) == (text, pos, reason)
+
+
 def test_error_carries_position():
     try:
         parse_expression("x + $")
@@ -71,11 +112,10 @@ def test_error_carries_position():
 def test_round_trip_on_catalog_expressions():
     from holtkit import catalog
     for name in catalog.names():
-        entry = catalog.build(name)
-        if not isinstance(entry.expression, PhasePoly):
-            continue
-        text = entry.expression.render()
-        assert parse_expression(text) == entry.expression, name
+        expr = catalog.build(name).expression
+        parts = (expr,) if isinstance(expr, PhasePoly) else expr.components()
+        for part in parts:
+            assert parse_expression(part.render()) == part, name
 
 
 def test_round_trip_on_a_large_symbolic_product():

@@ -165,6 +165,19 @@ def test_constructor_rejects_malformed_keys():
         X.diff("z")
 
 
+@pytest.mark.parametrize("param", ["k1", "k2", "k3"])
+def test_parameters_are_never_differentiated(param):
+    with pytest.raises(ValueError):
+        ((K1 + K2 + K3) * X).diff(param)
+
+
+def test_float_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflow"):
+        (K1**3 * X).compile(k1=1e110)
+    with pytest.raises(DomainError, match="overflow"):
+        (X**2).compile()(1e200, 1.0, 0.0, 0.0)
+
+
 def test_compile_sums_parameter_terms_of_one_monomial():
     g = ((K1 + K2) * X).compile(k1=1.0, k2=2.0)
     assert g.terms == ((3.0, 1, 0, 0, 0),)
