@@ -212,7 +212,7 @@ def format_trajectory(traj: Trajectory, invariants: Sequence[CatalogEntry] = (),
     header = ["t", "x", "y", "px", "py"] + [name for name, _ in compiled]
     lines = ["\t".join(header)]
     for t, p in zip(traj.times, traj.points):
-        row = [repr(t), repr(p.x), repr(p.y), repr(p.px), repr(p.py)]
-        row += [repr(fn(p.x, p.y, p.px, p.py)) for _, fn in compiled]
-        lines.append("\t".join(row))
+        x, y, px, py = p.x, p.y, p.px, p.py
+        lines.append("\t".join(map(repr, (t, x, y, px, py,
+                                          *[fn(x, y, px, py) for _, fn in compiled]))))
     return "\n".join(lines) + "\n"

@@ -72,8 +72,12 @@ def parse_expression(text: str) -> PhasePoly:
         tok = tokens[i]
         if not tok.isdigit():
             raise error("expected integer")
+        try:
+            value = int(tok)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            raise error(f"integer of {len(tok)} digits is too long") from None
         i += 1
-        return int(tok)
+        return value
 
     pairs = []
     while True:

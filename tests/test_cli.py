@@ -1,6 +1,7 @@
 """Exit-code contract and deterministic output of the command surface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,14 @@ def test_bracket_rejects_vector_field_argument():
     with pytest.raises(SystemExit) as exc_info:
         main(["bracket", "Gamma_H", "K2_3"])
     assert exc_info.value.code == 2
+
+
+def test_bracket_rejects_an_integer_past_the_conversion_limit(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bracket", "x", "1" * 5000])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "integer of 5000 digits is too long" in err
 
 
 def test_catalog_show(capsys):
@@ -102,6 +111,25 @@ def test_simulate_writes_table_and_summary(tmp_path, capsys):
     assert header == ["t", "x", "y", "px", "py", "H_U", "K2_3", "K3_4", "K4_6"]
     assert "drift H_U:" in out
     assert "samples: 11" in out
+
+
+# stdout written by the per-term loop evaluator; the generated evaluator
+# must reproduce it byte for byte
+GOLDEN_RUNS = {
+    "V_h3_k": ("--k1", "0.5", "--k2", "0.25", "--k3", "0.125", "--start", "0.5,1,0.5,6"),
+    "U": ("--k2", "1", "--start", "0,1,0.5,0.5"),
+}
+
+
+@pytest.mark.parametrize("integrator", ["leapfrog2", "composed4"])
+@pytest.mark.parametrize("potential", sorted(GOLDEN_RUNS))
+def test_simulate_stdout_matches_golden(capsys, potential, integrator):
+    code, out, err = run(capsys, "simulate", "--potential", potential,
+                         *GOLDEN_RUNS[potential], "--h", "0.01", "--t-end", "1",
+                         "--integrator", integrator)
+    golden = Path(__file__).parent / "data" / f"simulate_{potential}_{integrator}.txt"
+    assert (code, err) == (0, "")
+    assert out == golden.read_text()
 
 
 def test_simulate_table_to_stdout_when_no_out(capsys):

@@ -99,6 +99,19 @@ def test_malformed_text_reports_position_and_reason(text, pos, reason):
     assert (exc_info.value.text, exc_info.value.pos, exc_info.value.reason) == (text, pos, reason)
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("1" * 5000, 0),
+    ("x + 3/" + "7" * 5000, 6),
+    ("x^" + "9" * 5000, 2),
+])
+def test_integer_past_the_int_conversion_limit_is_a_parse_error(text, pos):
+    # int() refuses more than sys.get_int_max_str_digits() (4300) digits
+    with pytest.raises(ParseError) as exc_info:
+        parse_expression(text)
+    assert (exc_info.value.pos, exc_info.value.reason) == (
+        pos, "integer of 5000 digits is too long")
+
+
 def test_error_carries_position():
     try:
         parse_expression("x + $")

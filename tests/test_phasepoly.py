@@ -184,6 +184,56 @@ def test_compile_sums_parameter_terms_of_one_monomial():
     assert ((K1 - K2) * X).compile(k1=2.0, k2=2.0).terms == ()
 
 
+def compiled_and_evaluated(poly, point, k):
+    """Outcome of the generated evaluator and of the evaluate loop: the
+    value's repr (so -0.0 and nan count), or a DomainError's type and text."""
+    outcomes = []
+    for run in (lambda: poly.compile(**k)(*point), lambda: poly.evaluate(*point, **k)):
+        try:
+            outcomes.append(repr(run()))
+        except DomainError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+# (poly, point, parameters, the outcome both paths give)
+EDGE_CASES = [
+    (upow(-2) + X, (1.0, 0.0, 0.0, 0.0), {},
+     (DomainError, "evaluation requires y > 0, got y = 0.0")),
+    (upow(-2) + X, (1.0, -2.5, 0.0, 0.0), {},
+     (DomainError, "evaluation requires y > 0, got y = -2.5")),
+    (PX + X**2 * PX, (1e200, 1.0, 3.0, 0.0), {},
+     (DomainError, "evaluation overflows at (x, y, px, py) = (1e+200, 1.0, 3.0, 0.0)")),
+    (X + upow(-4), (0.5, 1e-320, 0.0, 0.0), {},
+     (DomainError, "evaluation overflows at (x, y, px, py) = (0.5, 1e-320, 0.0, 0.0)")),
+    # the folded coefficient is inf: it must be bound, not printed as a literal
+    (Fraction(10**200) * K2 * X, (2.0, 1.0, 0.0, 0.0), {"k2": 1e200}, "inf"),
+    (Fraction(10**200) * K2 * X - K2 * X, (0.0, 1.0, 0.0, 0.0), {"k2": 1e200}, "nan"),
+    (-X, (0.0, 1.0, 0.0, 0.0), {}, "0.0"),  # 0.0 + -0.0
+    (PhasePoly.zero(), (1.0, 1.0, 1.0, 1.0), {}, "0.0"),
+    (PhasePoly.zero(), (1.0, -1.0, 1.0, 1.0), {},
+     (DomainError, "evaluation requires y > 0, got y = -1.0")),
+    (K1**3 * X, (1.0, 1.0, 0.0, 0.0), {"k1": 1e110},
+     (DomainError, "parameter powers overflow at k1 = 1e+110, k2 = 0.0, k3 = 0.0")),
+]
+
+
+@pytest.mark.parametrize("poly, point, k, expected", EDGE_CASES)
+def test_compiled_matches_the_evaluate_loop_on_edge_cases(poly, point, k, expected):
+    assert compiled_and_evaluated(poly, point, k) == [expected, expected]
+
+
+def test_compiled_matches_the_evaluate_loop_beyond_one_generated_sum():
+    # more terms than CPython compiles into one sum expression
+    poly = PhasePoly({Monomial(ex, eu, epx, 1): Fraction(ex - eu, 1 + epx)
+                      for ex in range(30) for eu in range(-5, 5) for epx in range(11)
+                      if ex != eu})
+    assert len(poly.terms) > 3000
+    outcomes = compiled_and_evaluated(poly, (0.9, 1.3, -1.1, 0.7), {})
+    assert outcomes[0] == outcomes[1]
+    assert float(outcomes[0]) != 0.0
+
+
 def test_vector_field_apply_is_directional_derivative():
     V = VectorField(PX, PY, -X, PhasePoly.zero())
     f = X * PX

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from holtkit.parsing import parse_expression
 from holtkit.phasepoly import (
+    DomainError,
     Monomial,
     PhasePoly,
+    Term,
     hamiltonian_vf,
     poisson_bracket,
     vf_commutator,
@@ -116,3 +118,37 @@ def test_numeric_evaluation_is_a_homomorphism(f, g, x, y, px, py):
     scale = max(abs(fv) + abs(gv), abs(fv) * abs(gv), 1.0)
     assert abs(sv - (fv + gv)) <= 1e-9 * scale
     assert abs(pv - fv * gv) <= 1e-9 * scale
+
+
+flat_terms = st.builds(
+    Term,
+    ex=st.integers(0, 3),
+    eu=st.integers(-6, 4),
+    epx=st.integers(0, 4),
+    epy=st.integers(0, 4),
+    k1=st.integers(0, 2),
+    k2=st.integers(0, 2),
+    k3=st.integers(0, 2),
+)
+wide_fractions = st.fractions(max_denominator=10**6).filter(lambda q: q != 0)
+parametric_polys = st.dictionaries(flat_terms, wide_fractions, max_size=8).map(PhasePoly)
+# mostly ordinary nonzero values, sometimes any float: 0.0, -0.0, subnormals,
+# huge, inf, nan
+coordinates = st.one_of(st.floats(0.05, 3), st.floats(-3, -0.05), st.floats())
+heights = st.one_of(st.floats(0.05, 4), st.floats(0.05, 4), st.floats())
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parametric_polys, coordinates, heights, coordinates, coordinates,
+       coordinates, coordinates, coordinates)
+def test_compiled_evaluator_matches_the_evaluate_loop(p, x, y, px, py, k1, k2, k3):
+    compiled = _outcome(lambda: p.compile(k1, k2, k3)(x, y, px, py))
+    reference = _outcome(lambda: p.evaluate(x, y, px, py, k1=k1, k2=k2, k3=k3))
+    assert compiled == reference
