@@ -70,6 +70,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# characters of a rejected argument quoted back in an error message
+_ECHO_CHARS = 40
+
+
+def _quoted(text: str) -> str:
+    """repr of an argument for an error line, cut after _ECHO_CHARS."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def _resolve_expression(text: str, parser: argparse.ArgumentParser) -> PhasePoly:
     try:
         entry = catalog.build(text)
@@ -82,7 +93,7 @@ def _resolve_expression(text: str, parser: argparse.ArgumentParser) -> PhasePoly
     try:
         return parse_expression(text)
     except ParseError as exc:
-        parser.error(f"cannot parse {text!r}: {exc}")
+        parser.error(f"cannot parse {_quoted(text)}: {exc}")
 
 
 def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
@@ -114,7 +125,7 @@ def _run_bracket(args, parser) -> int:
             try:
                 subs[k] = Fraction(raw)
             except (ValueError, ZeroDivisionError):
-                parser.error(f"--{k} must be an exact rational, got {raw!r}")
+                parser.error(f"--{k} must be an exact rational, got {_quoted(raw)}")
     if subs:
         result = result.substitute_params(**subs)
     print(result.render())

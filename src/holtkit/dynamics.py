@@ -1,8 +1,10 @@
 """Symplectic integration and invariant-drift measurement.
 
 Forces come from symbolic differentiation of the catalog potential,
-compiled once per run; there is no numerical differentiation anywhere.
-Fixed step only: the convergence study needs clean order estimates.
+compiled once per run into one evaluator for both components; there is no
+numerical differentiation anywhere.  Invariants, too, are evaluated through
+one call per sample.  Fixed step only: the convergence study needs clean
+order estimates.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isfinite
 from statistics import linear_regression
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .catalog import CatalogEntry
-from .phasepoly import PX, PY, DomainError, PhasePoly
+from .phasepoly import PX, PY, DomainError, PhasePoly, compile_all
 
 INTEGRATORS = ("leapfrog2", "composed4")
 
@@ -35,18 +38,33 @@ class TrajectoryAborted(DomainError):
         super().__init__(f"y = {y} fell to or below the guard {y_min} at t = {time}")
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class _Coordinates(NamedTuple):
     x: float
     y: float
     px: float
     py: float
 
-    def __post_init__(self):
-        # one combined test: integrate builds a point at every step, so a
-        # state that blows up mid-run ends as a DomainError
-        if not all(map(math.isfinite, (self.x, self.y, self.px, self.py))):
-            raise DomainError(f"coordinates must be finite, got {self}")
+
+class PhasePoint(_Coordinates):
+    """A finite phase-space point: the tuple (x, y, px, py) with names.
+
+    integrate stores one per step and builds it with tuple.__new__ after
+    its own finiteness test, so a state that blows up mid-run still ends
+    as this DomainError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, px: float, py: float):
+        point = tuple.__new__(cls, (x, y, px, py))
+        if not all(map(isfinite, point)):
+            raise DomainError(f"coordinates must be finite, got {point}")
+        return point
+
+    @classmethod
+    def _make(cls, iterable) -> "PhasePoint":
+        # _replace builds through _make; keep the check on that path too
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -127,54 +145,58 @@ def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig) -> Tra
     if start.y <= cfg.y_min:
         raise ValueError(f"start.y = {start.y} must exceed y_min = {cfg.y_min}")
     V = _potential_poly(potential)
-    fx = (-V.diff("x")).compile(cfg.k1, cfg.k2, cfg.k3)
-    fy = (-V.diff("y")).compile(cfg.k1, cfg.k2, cfg.k3)
+    force = compile_all((-V.diff("x"), -V.diff("y")), cfg.k1, cfg.k2, cfg.k3)
 
+    h, y_min = cfg.h, cfg.y_min
     weights = (1.0,) if cfg.integrator == "leapfrog2" else (_C1, _C2, _C1)
-    n_steps = max(1, round(cfg.t_end / cfg.h))
-    x, y, px, py = start.x, start.y, start.px, start.py
-    ax, ay = fx(x, y, px, py), fy(x, y, px, py)
+    n_steps = max(1, round(cfg.t_end / h))
+    x, y, px, py = start
+    ax, ay = force(x, y, px, py)
 
     times = [0.0]
     points = [start]
+    tuple_new = tuple.__new__
     t = 0.0
     for i in range(n_steps):
         t_sub = t
         for w in weights:
-            dt = w * cfg.h
+            dt = w * h
             px += 0.5 * dt * ax
             py += 0.5 * dt * ay
             x += dt * px
             y += dt * py
             t_sub += dt
-            if y <= cfg.y_min:
-                raise TrajectoryAborted(t_sub, y, cfg.y_min)
-            ax, ay = fx(x, y, px, py), fy(x, y, px, py)
+            if y <= y_min:
+                raise TrajectoryAborted(t_sub, y, y_min)
+            ax, ay = force(x, y, px, py)
             px += 0.5 * dt * ax
             py += 0.5 * dt * ay
-        t = (i + 1) * cfg.h
+        t = (i + 1) * h
         times.append(t)
-        points.append(PhasePoint(x, y, px, py))
+        if isfinite(x) and isfinite(y) and isfinite(px) and isfinite(py):
+            points.append(tuple_new(PhasePoint, (x, y, px, py)))
+        else:
+            PhasePoint(x, y, px, py)  # raises the DomainError naming the state
     return Trajectory(tuple(times), tuple(points))
 
 
 def drift_report(traj: Trajectory, invariants: Iterable[CatalogEntry], *,
                  k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> DriftReport:
     """Normalized max deviation of each invariant along the trajectory."""
-    drifts = []
-    for entry in invariants:
+    entries = list(invariants)
+    for entry in entries:
         if not isinstance(entry.expression, PhasePoly):
             raise ValueError(f"{entry.name} is not evaluable on phase points")
-        compiled = entry.expression.compile(k1, k2, k3)
-        p0 = traj.points[0]
-        initial = compiled(p0.x, p0.y, p0.px, p0.py)
-        scale = max(abs(initial), 1.0)
-        worst = 0.0
-        for p in traj.points:
-            dev = abs(compiled(p.x, p.y, p.px, p.py) - initial)
-            if dev > worst:
-                worst = dev
-        drifts.append(InvariantDrift(entry.name, initial, worst / scale))
+    evaluate = compile_all([e.expression for e in entries], k1, k2, k3)
+    initials = evaluate(*traj.points[0])
+    worst = [0.0] * len(entries)
+    for p in traj.points:
+        for i, value in enumerate(evaluate(*p)):
+            dev = abs(value - initials[i])
+            if dev > worst[i]:
+                worst[i] = dev
+    drifts = [InvariantDrift(e.name, initial, w / max(abs(initial), 1.0))
+              for e, initial, w in zip(entries, initials, worst)]
     return DriftReport(tuple(drifts), len(traj))
 
 
@@ -208,11 +230,9 @@ def convergence_order(potential: CatalogEntry, start: PhasePoint,
 def format_trajectory(traj: Trajectory, invariants: Sequence[CatalogEntry] = (), *,
                       k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> str:
     """Tab-separated table, one row per sample, repr-precision floats."""
-    compiled = [(e.name, e.expression.compile(k1, k2, k3)) for e in invariants]
-    header = ["t", "x", "y", "px", "py"] + [name for name, _ in compiled]
-    lines = ["\t".join(header)]
-    for t, p in zip(traj.times, traj.points):
-        x, y, px, py = p.x, p.y, p.px, p.py
-        lines.append("\t".join(map(repr, (t, x, y, px, py,
-                                          *[fn(x, y, px, py) for _, fn in compiled]))))
-    return "\n".join(lines) + "\n"
+    evaluate = compile_all([e.expression for e in invariants], k1, k2, k3)
+    lines = ["\t".join(["t", "x", "y", "px", "py", *(e.name for e in invariants)])]
+    lines += ["\t".join(map(repr, (t, *p, *evaluate(*p))))
+              for t, p in zip(traj.times, traj.points)]
+    lines.append("")  # the closing newline, without a second copy of the table
+    return "\n".join(lines)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import add
-from typing import Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .ring import (
     ParamPoly,
@@ -172,13 +172,20 @@ class PhasePoly(SparsePoly):
         and a sum of 0.0 is dropped.
         """
         values: dict[tuple[int, int, int, int], float] = {}
-        try:
-            for (ex, eu, epx, epy, e1, e2, e3), c in self.terms.items():
-                mono = (ex, eu, epx, epy)
-                values[mono] = values.get(mono, 0.0) + float(c) * k1**e1 * k2**e2 * k3**e3
-        except OverflowError:
-            raise DomainError(f"parameter powers overflow at k1 = {k1!r}, "
-                              f"k2 = {k2!r}, k3 = {k3!r}") from None
+        for term, c in self.terms.items():
+            ex, eu, epx, epy, e1, e2, e3 = term
+            try:
+                coeff = float(c)
+            except OverflowError:
+                raise DomainError(f"the coefficient of {self._wrap({term: 1}).render()} "
+                                  "is too large for a float") from None
+            try:
+                value = coeff * k1**e1 * k2**e2 * k3**e3
+            except OverflowError:
+                raise DomainError(f"parameter powers overflow at k1 = {k1!r}, "
+                                  f"k2 = {k2!r}, k3 = {k3!r}") from None
+            mono = (ex, eu, epx, epy)
+            values[mono] = values.get(mono, 0.0) + value
         return tuple((values[m], *m) for m in sorted(values) if values[m] != 0.0)
 
     def compile(self, k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> "CompiledPoly":
@@ -186,6 +193,7 @@ class PhasePoly(SparsePoly):
 
         Generates one straight-line evaluator (see CompiledPoly), which
         costs about 0.1 ms: worth it for a function called many times.
+        compile_all does the same for several polynomials at one point.
         """
         return CompiledPoly(self._fold(k1, k2, k3))
 
@@ -236,44 +244,60 @@ def _overflow(x, y, px, py) -> DomainError:
 _SUM_CHUNK = 500
 
 
-def _generate(terms: FloatTerms):
-    """One straight-line function of (x, y, px, py) computing exactly what
-    PhasePoly.evaluate's loop computes over these terms.
+def _generate(term_lists: Sequence[FloatTerms], *, as_tuple: bool):
+    """One straight-line function of (x, y, px, py) computing, for each list
+    of terms, exactly what PhasePoly.evaluate's loop computes over it.
 
-    The sum keeps the term order and 0.0 as its first operand (so -0.0
-    terms still sum to 0.0), and each product keeps the factor order
-    c * x * u * px * py.  A factor with exponent 0 (the float 1.0) or 1
-    (the base itself) is left out, which is exact; every other power stays
-    a `**`, so an overflow still raises.  The coefficients are the
-    function's globals c0, c1, ..., not printed literals, because a folded
-    one can be inf or nan.
+    The function returns the tuple of the sums when as_tuple is set, else
+    the one sum of the one list.  It takes the cube root of y once, and
+    each distinct power (u**-2, px**2, ...) once, into a local that every
+    term of every list reuses: the same float the loop's own `**` gives,
+    and an overflow still raises.  A factor with exponent 0 (the float
+    1.0) or 1 (the base itself) is left out, which is exact.  Each sum
+    keeps the term order and 0.0 as its first operand (so -0.0 terms
+    still sum to 0.0), and each product keeps the factor order
+    c * x * u * px * py.  The coefficients are the function's globals
+    c0, c1, ..., not printed literals, because a folded one can be inf
+    or nan.  With no lists at all it returns () for any point, as the
+    empty tuple of evaluate calls does.
     """
-    names = [f"c{i}" for i in range(len(terms))]
-    products = []
-    for name, (_, *exponents) in zip(names, terms):
-        factors = [name]
-        for var, e in zip(("x", "u", "px", "py"), exponents):
-            if e == 1:
-                factors.append(var)
-            elif e:
-                factors.append(f"{var}**{e}")
-        products.append(" * ".join(factors))
-    sums = "".join(f"        total = total + {' + '.join(products[i:i + _SUM_CHUNK])}\n"
-                   for i in range(0, len(products), _SUM_CHUNK))
-    source = ("def evaluate(x, y, px, py):\n"
-              "    if y <= 0.0:\n"
-              "        raise _nonpositive_y(y)\n"
-              "    u = y ** (1.0 / 3.0)\n"
-              "    try:\n"
-              "        total = 0.0\n"
-              f"{sums}"
-              "    except OverflowError:\n"
-              "        raise _overflow(x, y, px, py) from None\n"
-              "    return total\n")
-    namespace = dict(zip(names, (c for c, *_ in terms)),
-                     _nonpositive_y=_nonpositive_y, _overflow=_overflow)
-    exec(source, namespace)
-    return namespace["evaluate"]
+    coeffs: list[float] = []
+    powers: dict[str, str] = {}  # local name -> power expression
+    sums = []
+    for i, terms in enumerate(term_lists):
+        products = []
+        for c, *exponents in terms:
+            factors = [f"c{len(coeffs)}"]
+            coeffs.append(c)
+            for var, e in zip(("x", "u", "px", "py"), exponents):
+                if e == 1:
+                    factors.append(var)
+                elif e:
+                    name = f"{var}_{e}".replace("-", "m")
+                    powers[name] = f"{var}**{e}"
+                    factors.append(name)
+            products.append(" * ".join(factors))
+        sums.append(f"        s{i} = 0.0")
+        sums += [f"        s{i} = s{i} + {' + '.join(products[j:j + _SUM_CHUNK])}"
+                 for j in range(0, len(products), _SUM_CHUNK)]
+    lines = ["def evaluate(x, y, px, py):"]
+    if term_lists:
+        lines += ["    if y <= 0.0:",
+                  "        raise _nonpositive_y(y)",
+                  "    u = y ** (1.0 / 3.0)",
+                  "    try:",
+                  *(f"        {name} = {power}" for name, power in powers.items()),
+                  *sums,
+                  "    except OverflowError:",
+                  "        raise _overflow(x, y, px, py) from None"]
+    lines.append(f"    return ({''.join(f's{i}, ' for i in range(len(term_lists)))})"
+                 if as_tuple else "    return s0")
+    namespace = {f"c{i}": c for i, c in enumerate(coeffs)}
+    namespace.update(_nonpositive_y=_nonpositive_y, _overflow=_overflow)
+    exec("\n".join(lines), namespace)
+    # popped, so that the function and its globals form no cycle and are
+    # freed as soon as the caller drops the function
+    return namespace.pop("evaluate")
 
 
 class CompiledPoly(partial):
@@ -289,9 +313,23 @@ class CompiledPoly(partial):
     __slots__ = ("terms",)
 
     def __new__(cls, terms: FloatTerms):
-        self = super().__new__(cls, _generate(terms))
+        self = super().__new__(cls, _generate([terms], as_tuple=False))
         self.terms = terms
         return self
+
+
+def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
+                k3: float = 0.0) -> Callable[[float, float, float, float], tuple]:
+    """One generated function of (x, y, px, py) returning the tuple of the
+    polynomials' values at fixed parameters.
+
+    Each value is bit for bit what that polynomial's evaluate (or compile)
+    gives, and a point outside the domain raises the same DomainError.
+    The polynomials share one cube root of y and one table of powers per
+    call, which is why a simulate run evaluates its two forces, and all of
+    its invariants, through one call each.
+    """
+    return _generate([p._fold(k1, k2, k3) for p in polys], as_tuple=True)
 
 
 # generators for building expressions algebraically

@@ -58,6 +58,21 @@ def test_bracket_rejects_an_integer_past_the_conversion_limit(capsys):
     assert err.count("error:") == 1 and "integer of 5000 digits is too long" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bracket", "x", "1" * 5000),
+    ("bracket", "x", "x+" * 2500),
+    ("bracket", "x", "x", "--k2", "1/" * 2500),
+])
+def test_a_long_rejected_argument_is_cut_short_in_the_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    line = err.splitlines()[-1]
+    assert err.count("error:") == 1 and len(line) < 200
+    assert f"'{argv[-1][:40]}'... (5000 characters)" in line
+
+
 def test_catalog_show(capsys):
     code, out, _ = run(capsys, "catalog", "show", "U")
     assert code == 0
@@ -148,6 +163,17 @@ def test_simulate_invariant_selection(capsys):
     assert "K2_3" not in out
 
 
+def test_simulate_tracks_a_repeated_invariant_twice(capsys):
+    code, out, _ = run(capsys, "simulate", "--potential", "U", "--k2", "1",
+                       "--start", "0,1,0.5,0.5", "--h", "0.05", "--t-end", "0.1",
+                       "--invariants", "K2_3,K2_3")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines() if "\t" in line]
+    assert rows[0] == ["t", "x", "y", "px", "py", "K2_3", "K2_3"]
+    assert len(rows) == 4 and all(row[5] == row[6] for row in rows)
+    assert out.count("drift K2_3:") == 2
+
+
 def test_simulate_domain_abort_exit_code(capsys):
     code, out, err = run(capsys, "simulate", "--potential", "U", "--k2", "1",
                          "--start", "0,1,0.5,0.5", "--h", "0.001", "--t-end", "10")
@@ -166,6 +192,31 @@ def test_simulate_blow_up_is_a_domain_error(tmp_path, capsys, extra, cause):
     assert code == 3
     assert err.startswith("domain error:") and cause in err
     assert err.count("\n") == 1
+
+
+# every exit-3 message in full, as the per-polynomial evaluators wrote it;
+# the fused evaluator and tuple points must leave each one unchanged
+EXIT_3_RUNS = [
+    (("--start", "0,1,0,0", "--k2", "1e308", "--t-end", "0.01"),
+     "domain error: coordinates must be finite, got PhasePoint("
+     "x=-4.999999999999999e+301, y=1.0, px=-1e+305, py=-inf)\n"),
+    (("--start", "0,1,0,0", "--k3", "1e300", "--t-end", "0.01"),
+     "domain error: evaluation overflows at (x, y, px, py) = "
+     "(0.0, 3.333333333333333e+293, 0.0, 3.3333333333333334e+296)\n"),
+    (("--start", "0,1,0.5,0.5", "--k2", "1", "--t-end", "10"),
+     "trajectory aborted: y = -0.006818968571579523 fell to or below the "
+     "guard 1e-06 at t = 5.87\n"),
+]
+
+
+@pytest.mark.parametrize("extra, stderr", EXIT_3_RUNS,
+                         ids=["state-blow-up", "force-overflow", "y-guard"])
+def test_simulate_exit_3_stderr_is_pinned(tmp_path, capsys, extra, stderr):
+    out_path = tmp_path / "t.tsv"
+    code, out, err = run(capsys, "simulate", "--potential", "U", *extra,
+                         "--h", "0.001", "--out", str(out_path))
+    assert (code, out, err) == (3, "", stderr)
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("argv", [

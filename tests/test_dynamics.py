@@ -62,6 +62,23 @@ def test_phase_point_rejects_non_finite_coordinates(coords):
         PhasePoint(*coords)
 
 
+def test_phase_point_is_a_checked_tuple_with_the_dataclass_repr():
+    point = PhasePoint(0.5, y=1.0, px=-2.0, py=0)
+    assert point == (0.5, 1.0, -2.0, 0) and (point.y, point.py) == (1.0, 0)
+    assert repr(point) == "PhasePoint(x=0.5, y=1.0, px=-2.0, py=0)"
+    with pytest.raises(DomainError) as exc_info:
+        PhasePoint(0.5, 1.0, float("-inf"), float("nan"))
+    assert str(exc_info.value) == ("coordinates must be finite, "
+                                   "got PhasePoint(x=0.5, y=1.0, px=-inf, py=nan)")
+    with pytest.raises(DomainError, match="finite"):
+        point._replace(x=float("inf"))
+
+
+def test_trajectory_points_are_phase_points():
+    traj = integrate(U, START, SimConfig(h=0.05, t_end=0.1, k2=1.0))
+    assert all(type(p) is PhasePoint for p in traj.points)
+
+
 def test_start_must_clear_the_guard():
     with pytest.raises(ValueError):
         integrate(U, PhasePoint(0.0, 1e-7, 0.0, 0.0), SimConfig(h=1e-3, t_end=1.0))

@@ -215,6 +215,11 @@ EDGE_CASES = [
      (DomainError, "evaluation requires y > 0, got y = -1.0")),
     (K1**3 * X, (1.0, 1.0, 0.0, 0.0), {"k1": 1e110},
      (DomainError, "parameter powers overflow at k1 = 1e+110, k2 = 0.0, k3 = 0.0")),
+    # no parameter is involved: the coefficient itself is past the float range
+    (Fraction(10**400) * X, (1.0, 1.0, 0.0, 0.0), {},
+     (DomainError, "the coefficient of x is too large for a float")),
+    (PX - Fraction(10**400) * K2 * X * upow(-2), (1.0, 1.0, 0.0, 0.0), {"k2": 1.0},
+     (DomainError, "the coefficient of k2*x*u^-2 is too large for a float")),
 ]
 
 

@@ -10,12 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from holtkit.parsing import parse_expression
 from holtkit.phasepoly import (
+    PX,
     DomainError,
     Monomial,
     PhasePoly,
     Term,
+    X,
+    compile_all,
     hamiltonian_vf,
     poisson_bracket,
+    upow,
     vf_commutator,
 )
 from holtkit.ring import ParamPoly
@@ -152,3 +156,53 @@ def test_compiled_evaluator_matches_the_evaluate_loop(p, x, y, px, py, k1, k2, k
     compiled = _outcome(lambda: p.compile(k1, k2, k3)(x, y, px, py))
     reference = _outcome(lambda: p.evaluate(x, y, px, py, k1=k1, k2=k2, k3=k3))
     assert compiled == reference
+
+
+def _each_evaluated(polys, point, k1, k2, k3):
+    """The tuple of evaluate calls, after the parameters of every polynomial
+    are folded: compile_all reports a parameter error before any point is
+    seen, as compiling each polynomial on its own would."""
+    for p in polys:
+        p.compile(k1, k2, k3)
+    return tuple(p.evaluate(*point, k1=k1, k2=k2, k3=k3) for p in polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parametric_polys, parametric_polys, parametric_polys, coordinates, heights,
+       coordinates, coordinates, coordinates, coordinates, coordinates)
+def test_fused_evaluator_matches_each_evaluate_loop(p, q, r, x, y, px, py, k1, k2, k3):
+    point = (x, y, px, py)
+    fused = _outcome(lambda: compile_all([p, q, r], k1, k2, k3)(*point))
+    reference = _outcome(lambda: _each_evaluated([p, q, r], point, k1, k2, k3))
+    assert fused == reference
+
+
+def test_fused_evaluator_of_no_polynomials_is_the_empty_tuple():
+    evaluate = compile_all([])
+    assert evaluate(0.5, 1.0, 0.0, 0.0) == ()
+    assert evaluate(0.5, -1.0, 0.0, 0.0) == ()  # no evaluate call, so no y check
+
+
+def test_fused_evaluator_keeps_a_repeated_polynomial():
+    p = 3 * X * upow(-2) + PX**2
+    point = (0.3, 1.7, -0.4, 0.2)
+    assert repr(compile_all([p, p])(*point)) == repr((p.evaluate(*point),) * 2)
+
+
+class CountingFloat(float):
+    """A float that records each exponent it is raised to."""
+
+    powers: list = []
+
+    def __pow__(self, e):
+        CountingFloat.powers.append(e)
+        return float(self) ** e
+
+
+def test_fused_evaluator_shares_powers_across_polynomials():
+    polys = [PX**2, 5 * X * PX**2, PX**2 * upow(-2) + PX**3, PX**3]
+    point = (0.3, 1.7, CountingFloat(-0.4), 0.2)
+    CountingFloat.powers = []
+    values = compile_all(polys)(*point)
+    assert sorted(CountingFloat.powers) == [2, 3]  # px**2 and px**3 once each
+    assert repr(values) == repr(tuple(p.evaluate(*point) for p in polys))
