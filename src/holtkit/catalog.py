@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 from .phasepoly import PX, PY, PhasePoly, U as u, VectorField, X as x, hamiltonian_vf, upow
 from .ring import K1, K2, K3, Scalar
@@ -122,10 +123,6 @@ def _K4_6() -> PhasePoly:
             + 324 * K2**3 * x)
 
 
-def _hamiltonian(V: PhasePoly) -> PhasePoly:
-    return Fraction(1, 2) * (PX**2 + PY**2) + V
-
-
 def _Gamma_H() -> VectorField:
     # dynamical field of H(U), components as printed, not derived
     return VectorField(
@@ -159,11 +156,12 @@ _INTEGRALS = {
     "K4_6": (_K4_6, "sextic integral of U, k1 -> 0 limit of J_h3_6_k"),
 }
 
+# name -> (builder of the field from the entries read through get, source)
 _FIELDS = {
-    "X2": (lambda: hamiltonian_vf(_K2_3()), "Hamiltonian vector field of K2_3"),
-    "X3": (lambda: hamiltonian_vf(_K3_4()), "Hamiltonian vector field of K3_4"),
-    "X4": (lambda: hamiltonian_vf(_K4_6()), "Hamiltonian vector field of K4_6"),
-    "Gamma_H": (_Gamma_H, "dynamical vector field of H(U)"),
+    "X2": (lambda get: hamiltonian_vf(get("K2_3")), "Hamiltonian vector field of K2_3"),
+    "X3": (lambda get: hamiltonian_vf(get("K3_4")), "Hamiltonian vector field of K3_4"),
+    "X4": (lambda get: hamiltonian_vf(get("K4_6")), "Hamiltonian vector field of K4_6"),
+    "Gamma_H": (lambda get: _Gamma_H(), "dynamical vector field of H(U)"),
 }
 
 
@@ -176,26 +174,31 @@ def names() -> list[str]:
     return out
 
 
-def build(name: str) -> CatalogEntry:
-    """Construct a fresh catalog entry with symbolic k-coefficients."""
+def build(name: str, get: Callable[[str], PhasePoly] | None = None) -> CatalogEntry:
+    """Construct a catalog entry with symbolic k-coefficients.
+
+    A derived entry (H_<V>, X2, X3, X4) reads the expression it is made from
+    through get(name), by default a fresh build; a get that returns an
+    overridden entry carries the override into everything derived from it.
+    """
+    if get is None:
+        get = lambda source: build(source).expression
     if name in _POTENTIALS:
-        builder, source, _ = _POTENTIALS[name]
+        kind, (builder, source, _) = "potential", _POTENTIALS[name]
         expr = builder()
-        return CatalogEntry(name, "potential", expr, expr.momentum_order, source)
-    if name.startswith("H_") and name[2:] in _POTENTIALS:
-        builder, source, _ = _POTENTIALS[name[2:]]
-        expr = _hamiltonian(builder())
-        return CatalogEntry(name, "hamiltonian", expr, expr.momentum_order,
-                            f"kinetic term plus {name[2:]}; {source}")
-    if name in _INTEGRALS:
-        builder, source = _INTEGRALS[name]
+    elif name.startswith("H_") and name[2:] in _POTENTIALS:
+        kind, V = "hamiltonian", name[2:]
+        expr = Fraction(1, 2) * (PX**2 + PY**2) + get(V)
+        source = f"kinetic term plus {V}; {_POTENTIALS[V][1]}"
+    elif name in _INTEGRALS:
+        kind, (builder, source) = "integral", _INTEGRALS[name]
         expr = builder()
-        return CatalogEntry(name, "integral", expr, expr.momentum_order, source)
-    if name in _FIELDS:
-        builder, source = _FIELDS[name]
-        field = builder()
-        return CatalogEntry(name, "vectorfield", field, field.momentum_order, source)
-    raise KeyError(f"unknown catalog name {name!r}; see names()")
+    elif name in _FIELDS:
+        kind, (builder, source) = "vectorfield", _FIELDS[name]
+        expr = builder(get)
+    else:
+        raise KeyError(f"unknown catalog name {name!r}; see names()")
+    return CatalogEntry(name, kind, expr, expr.momentum_order, source)
 
 
 def invariants(potential: str) -> list[str]:

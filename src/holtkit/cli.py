@@ -81,6 +81,15 @@ def _quoted(text: str) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
+def _entry(name: str, parser: argparse.ArgumentParser) -> catalog.CatalogEntry:
+    """catalog.build(name); an unknown name exits 2, quoted as _quoted cuts it."""
+    try:
+        return catalog.build(name)
+    except KeyError:
+        # the text of catalog.build's KeyError, as str() of a KeyError quotes it
+        parser.error(repr(f"unknown catalog name {_quoted(name)}; see names()"))
+
+
 def _resolve_expression(text: str, parser: argparse.ArgumentParser) -> PhasePoly:
     try:
         entry = catalog.build(text)
@@ -138,28 +147,29 @@ def _run_catalog(args, parser) -> int:
             e = catalog.build(name)
             print(f"{e.name}\t{e.kind}\t{e.momentum_order}\t{e.source}")
         return 0
-    try:
-        entry = catalog.build(args.name)
-    except KeyError as exc:
-        parser.error(str(exc))
-    print(entry.expression.render())
+    print(_entry(args.name, parser).expression.render())
     return 0
 
 
 def _run_simulate(args, parser) -> int:
-    try:
-        potential = catalog.build(args.potential)
-    except KeyError as exc:
-        parser.error(str(exc))
+    potential = _entry(args.potential, parser)
     if potential.kind != "potential":
         parser.error(f"{args.potential} is not a potential")
     pieces = args.start.split(",")
     if len(pieces) != 4:
         parser.error("--start must be four comma-separated numbers x,y,px,py")
+    coordinates = []
+    for piece in pieces:
+        try:
+            coordinates.append(float(piece))
+        except ValueError:
+            # float()'s own message, with the piece cut like the whole value
+            parser.error(f"bad --start value {_quoted(args.start)}: "
+                         f"could not convert string to float: {_quoted(piece)}")
     try:
-        start = PhasePoint(*(float(p) for p in pieces))
+        start = PhasePoint(*coordinates)
     except ValueError as exc:
-        parser.error(f"bad --start value {args.start!r}: {exc}")
+        parser.error(f"bad --start value {_quoted(args.start)}: {exc}")
     try:
         cfg = SimConfig(h=args.h, t_end=args.t_end, integrator=args.integrator,
                         y_min=args.y_min, k1=args.k1, k2=args.k2, k3=args.k3)
@@ -174,10 +184,7 @@ def _run_simulate(args, parser) -> int:
         inv_names = catalog.invariants(args.potential)
     invariants = []
     for n in inv_names:
-        try:
-            e = catalog.build(n)
-        except KeyError as exc:
-            parser.error(str(exc))
+        e = _entry(n, parser)
         if not isinstance(e.expression, PhasePoly):
             parser.error(f"{n} is a vector field and cannot be tracked")
         invariants.append(e)

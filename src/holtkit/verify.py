@@ -92,14 +92,14 @@ def check_conserved(J: PhasePoly, H: PhasePoly, *, id: str = "conserved",
     return _zero_check(id, description, citation, lambda: poisson_bracket(J, H))
 
 
-def check_identity(lhs: PhasePoly, rhs: PhasePoly, *, id: str = "identity",
-                   description: str = "lhs = rhs", citation: str = "") -> Check:
+def check_identity(lhs: PhasePoly | VectorField, rhs: PhasePoly | VectorField, *,
+                   id: str = "identity", description: str = "lhs = rhs",
+                   citation: str = "") -> Check:
     return _zero_check(id, description, citation, lambda: lhs - rhs)
 
 
-def check_vf_relation(lhs: VectorField, rhs: VectorField, *, id: str = "vf_relation",
-                      description: str = "lhs = rhs", citation: str = "") -> Check:
-    return _zero_check(id, description, citation, lambda: lhs - rhs)
+# a field relation is the same exact zero test, componentwise
+check_vf_relation = check_identity
 
 
 def check_lie_closure(basis: Mapping[str, PhasePoly],
@@ -137,124 +137,106 @@ def check_lie_closure(basis: Mapping[str, PhasePoly],
                  None if passed else "; ".join(failures), millis)
 
 
-def full_suite(entries: Mapping[str, "catalog.CatalogEntry"] | None = None) -> VerificationReport:
-    """Run every claim in its printed order and collect the report.
+def _conserved(J: str, V: str, citation: str, note: str = "") -> tuple:
+    return (f"conserved_{J}", f"{{{J}, H({V})}} = 0{note}", citation, "conserved",
+            lambda get: (get(J), get(f"H_{V}")))
 
-    `entries` overrides individual catalog entries by name; the fault
-    injection tests use it to slip in a corrupted transcription.  A check's
-    millis covers all of its work: building the entries it is the first to
-    read, both sides of the claim, and the residual.
+
+def _limit(J: str, K: str) -> tuple:
+    return (f"limit_{K}", f"{J} at k1 = 0 equals {K} term-for-term",
+            "k1 -> 0 limit of the Holt family", "identity",
+            lambda get: (get(J).substitute_params(k1=0), get(K)))
+
+
+def _jacobi(f: PhasePoly, g: PhasePoly, h: PhasePoly) -> PhasePoly:
+    return (poisson_bracket(poisson_bracket(f, g), h)
+            + poisson_bracket(poisson_bracket(g, h), f)
+            + poisson_bracket(poisson_bracket(h, f), g))
+
+
+_SYMBOLIC = " with symbolic k1, k2, k3"
+
+# (id, description, citation, check kind, operands): one row per claim, in
+# printed order.  The suite calls check_<kind>(*operands(get)), where
+# get(name) is the expression of the catalog entry in force.
+CLAIMS = (
+    _conserved("J_h1_3", "V_h1", "Holt (1982)"),
+    _conserved("J_h1_3_k", "V_h1_k", "three-parameter Holt family", _SYMBOLIC),
+    _conserved("J_h2_4", "V_h2", "Holt family; Tsiganov (1999)"),
+    _conserved("J_h2_4_k", "V_h2_k", "three-parameter Holt family", _SYMBOLIC),
+    _conserved("J_h3_6", "V_h3", "Holt family; Tsiganov (1999)"),
+    _conserved("J_h3_6_k", "V_h3_k", "three-parameter Holt family", _SYMBOLIC),
+    _conserved("K2_3", "U", "Post and Winternitz (2011)"),
+    _conserved("K3_4", "U", "Post and Winternitz (2011)"),
+    _limit("J_h1_3_k", "K2_3"),
+    _limit("J_h2_4_k", "K3_4"),
+    _limit("J_h3_6_k", "K4_6"),
+    ("relation_K4_6", "K4_6 = 18*H*K3_4 - 2*K2_3^2 - 324*k2^2*k3",
+     "functional relation among the U integrals", "identity",
+     lambda get: (get("K4_6"), 18 * get("H_U") * get("K3_4") - 2 * get("K2_3")**2
+                  - PhasePoly.constant(324 * K2**2 * K3))),
+    ("bracket_K3_K2", "{K3_4, K2_3} = 108*k2^3", "Post and Winternitz (2011)",
+     "identity", lambda get: (poisson_bracket(get("K3_4"), get("K2_3")),
+                              PhasePoly.constant(108 * K2**3))),
+    ("bracket_K4_K2", "{K4_6, K2_3} = 1944*k2^3*H", "bracket table of the U integrals",
+     "identity", lambda get: (poisson_bracket(get("K4_6"), get("K2_3")),
+                              1944 * K2**3 * get("H_U"))),
+    ("bracket_K4_K3", "{K4_6, K3_4} = 432*k2^3*K2_3", "bracket table of the U integrals",
+     "identity", lambda get: (poisson_bracket(get("K4_6"), get("K3_4")),
+                              432 * K2**3 * get("K2_3"))),
+    ("gamma_H", "hamiltonian_vf(H(U)) = Gamma_H as printed", "dynamical vector field of H(U)",
+     "vf_relation", lambda get: (hamiltonian_vf(get("H_U")), get("Gamma_H"))),
+    ("commutator_X2_X3", "[X2, X3] = 0", "commuting integral fields of U",
+     "vf_relation", lambda get: (vf_commutator(get("X2"), get("X3")), ZERO_FIELD)),
+    ("commutator_X2_X4", "[X2, X4] = 1944*k2^3*Gamma_H", "commutator table of the U fields",
+     "vf_relation", lambda get: (vf_commutator(get("X2"), get("X4")),
+                                 1944 * K2**3 * get("Gamma_H"))),
+    ("commutator_X3_X4", "[X3, X4] = 432*k2^3*X2", "commutator table of the U fields",
+     "vf_relation", lambda get: (vf_commutator(get("X3"), get("X4")), 432 * K2**3 * get("X2"))),
+    ("closure_heisenberg_K3", "(K2_3, K3_4, 1) close a Heisenberg algebra; H central",
+     "algebra of the cubic and quartic U integrals", "lie_closure",
+     lambda get: ({"K2_3": get("K2_3"), "K3_4": get("K3_4"), "one": PhasePoly.constant(1),
+                   "H": get("H_U")},
+                  {("K3_4", "K2_3"): PhasePoly.constant(108 * K2**3),
+                   ("K2_3", "one"): PhasePoly.zero(), ("K3_4", "one"): PhasePoly.zero(),
+                   ("one", "H"): PhasePoly.zero(), ("K2_3", "H"): PhasePoly.zero(),
+                   ("K3_4", "H"): PhasePoly.zero()})),
+    ("closure_heisenberg_K4", "(K2_3, K4_6, H) close a Heisenberg algebra with center H",
+     "algebra of the cubic and sextic U integrals", "lie_closure",
+     lambda get: ({"K2_3": get("K2_3"), "K4_6": get("K4_6"), "H": get("H_U")},
+                  {("K4_6", "K2_3"): 1944 * K2**3 * get("H_U"),
+                   ("K2_3", "H"): PhasePoly.zero(), ("K4_6", "H"): PhasePoly.zero()})),
+    ("jacobi_H_K2_K3", "Jacobi identity on (H(U), K2_3, K3_4)",
+     "Poisson bracket axiom, checked on the catalog triple", "identity",
+     lambda get: (_jacobi(get("H_U"), get("K2_3"), get("K3_4")), PhasePoly.zero())),
+)
+
+
+def full_suite(entries: Mapping[str, "catalog.CatalogEntry"] | None = None) -> VerificationReport:
+    """Run every claim of CLAIMS in its printed order and collect the report.
+
+    `entries` overrides catalog entries by name (a name outside
+    catalog.names() is a KeyError), and the entries derived from an
+    overridden one are built from it.  A check's millis covers all of its
+    work: building the entries it is the first to read, and the check.
     """
+    entries = entries or {}
+    unknown = sorted(entries.keys() - set(catalog.names()))
+    if unknown:
+        raise KeyError(f"entries override unknown catalog names {unknown}")
+
     @cache
     def get(name: str):
-        if entries and name in entries:
+        if name in entries:
             return entries[name].expression
-        return catalog.build(name).expression
+        return catalog.build(name, get).expression
 
     checks = []
-
-    def timed(make_check: Callable[[], Check]) -> None:
+    for id, description, citation, kind, operands in CLAIMS:
         t0 = time.perf_counter()
-        check = make_check()
+        # looked up per run, so a wrapper installed on the module sees the call
+        check = globals()[f"check_{kind}"](*operands(get), id=id,
+                                            description=description, citation=citation)
         checks.append(replace(check, millis=(time.perf_counter() - t0) * 1000.0))
-
-    for tag, order in (("h1", 3), ("h2", 4), ("h3", 6)):
-        timed(lambda: check_conserved(
-            get(f"J_{tag}_{order}"), get(f"H_V_{tag}"),
-            id=f"conserved_J_{tag}_{order}",
-            description=f"{{J_{tag}_{order}, H(V_{tag})}} = 0",
-            citation="Holt (1982)" if tag == "h1" else "Holt family; Tsiganov (1999)"))
-        timed(lambda: check_conserved(
-            get(f"J_{tag}_{order}_k"), get(f"H_V_{tag}_k"),
-            id=f"conserved_J_{tag}_{order}_k",
-            description=f"{{J_{tag}_{order}_k, H(V_{tag}_k)}} = 0 with symbolic k1, k2, k3",
-            citation="three-parameter Holt family"))
-
-    timed(lambda: check_conserved(
-        get("K2_3"), get("H_U"), id="conserved_K2_3", description="{K2_3, H(U)} = 0",
-        citation="Post and Winternitz (2011)"))
-    timed(lambda: check_conserved(
-        get("K3_4"), get("H_U"), id="conserved_K3_4", description="{K3_4, H(U)} = 0",
-        citation="Post and Winternitz (2011)"))
-
-    for jk, kname in (("J_h1_3_k", "K2_3"), ("J_h2_4_k", "K3_4"), ("J_h3_6_k", "K4_6")):
-        timed(lambda: check_identity(
-            get(jk).substitute_params(k1=0), get(kname),
-            id=f"limit_{kname}",
-            description=f"{jk} at k1 = 0 equals {kname} term-for-term",
-            citation="k1 -> 0 limit of the Holt family"))
-
-    timed(lambda: check_identity(
-        get("K4_6"),
-        18 * get("H_U") * get("K3_4") - 2 * get("K2_3")**2
-        - PhasePoly.constant(324 * K2**2 * K3),
-        id="relation_K4_6",
-        description="K4_6 = 18*H*K3_4 - 2*K2_3^2 - 324*k2^2*k3",
-        citation="functional relation among the U integrals"))
-
-    timed(lambda: check_identity(
-        poisson_bracket(get("K3_4"), get("K2_3")), PhasePoly.constant(108 * K2**3),
-        id="bracket_K3_K2", description="{K3_4, K2_3} = 108*k2^3",
-        citation="Post and Winternitz (2011)"))
-    timed(lambda: check_identity(
-        poisson_bracket(get("K4_6"), get("K2_3")), 1944 * K2**3 * get("H_U"),
-        id="bracket_K4_K2", description="{K4_6, K2_3} = 1944*k2^3*H",
-        citation="bracket table of the U integrals"))
-    timed(lambda: check_identity(
-        poisson_bracket(get("K4_6"), get("K3_4")), 432 * K2**3 * get("K2_3"),
-        id="bracket_K4_K3", description="{K4_6, K3_4} = 432*k2^3*K2_3",
-        citation="bracket table of the U integrals"))
-
-    timed(lambda: check_vf_relation(
-        hamiltonian_vf(get("H_U")), get("Gamma_H"),
-        id="gamma_H", description="hamiltonian_vf(H(U)) = Gamma_H as printed",
-        citation="dynamical vector field of H(U)"))
-    timed(lambda: check_vf_relation(
-        vf_commutator(get("X2"), get("X3")), ZERO_FIELD,
-        id="commutator_X2_X3", description="[X2, X3] = 0",
-        citation="commuting integral fields of U"))
-    timed(lambda: check_vf_relation(
-        vf_commutator(get("X2"), get("X4")), 1944 * K2**3 * get("Gamma_H"),
-        id="commutator_X2_X4", description="[X2, X4] = 1944*k2^3*Gamma_H",
-        citation="commutator table of the U fields"))
-    timed(lambda: check_vf_relation(
-        vf_commutator(get("X3"), get("X4")), 432 * K2**3 * get("X2"),
-        id="commutator_X3_X4", description="[X3, X4] = 432*k2^3*X2",
-        citation="commutator table of the U fields"))
-
-    timed(lambda: check_lie_closure(
-        {"K2_3": get("K2_3"), "K3_4": get("K3_4"), "one": PhasePoly.constant(1),
-         "H": get("H_U")},
-        {
-            ("K3_4", "K2_3"): PhasePoly.constant(108 * K2**3),
-            ("K2_3", "one"): PhasePoly.zero(),
-            ("K3_4", "one"): PhasePoly.zero(),
-            ("one", "H"): PhasePoly.zero(),
-            ("K2_3", "H"): PhasePoly.zero(),
-            ("K3_4", "H"): PhasePoly.zero(),
-        },
-        id="closure_heisenberg_K3",
-        description="(K2_3, K3_4, 1) close a Heisenberg algebra; H central",
-        citation="algebra of the cubic and quartic U integrals"))
-    timed(lambda: check_lie_closure(
-        {"K2_3": get("K2_3"), "K4_6": get("K4_6"), "H": get("H_U")},
-        {
-            ("K4_6", "K2_3"): 1944 * K2**3 * get("H_U"),
-            ("K2_3", "H"): PhasePoly.zero(),
-            ("K4_6", "H"): PhasePoly.zero(),
-        },
-        id="closure_heisenberg_K4",
-        description="(K2_3, K4_6, H) close a Heisenberg algebra with center H",
-        citation="algebra of the cubic and sextic U integrals"))
-
-    H_U, K23, K34 = get("H_U"), get("K2_3"), get("K3_4")
-    timed(lambda: check_identity(
-        poisson_bracket(poisson_bracket(H_U, K23), K34)
-        + poisson_bracket(poisson_bracket(K23, K34), H_U)
-        + poisson_bracket(poisson_bracket(K34, H_U), K23),
-        PhasePoly.zero(),
-        id="jacobi_H_K2_K3",
-        description="Jacobi identity on (H(U), K2_3, K3_4)",
-        citation="Poisson bracket axiom, checked on the catalog triple"))
-
+    get.cache_clear()  # get refers to itself, so free the entries without waiting for gc
     return VerificationReport(tuple(checks))

@@ -46,6 +46,14 @@ def test_entries_are_fresh_per_build():
     assert a is not b
 
 
+def test_derived_entries_read_their_source_through_get():
+    V = X * X
+    H = catalog.build("H_U", {"U": V}.__getitem__).expression
+    assert H == catalog.build("H_U").expression - catalog.build("U").expression + V
+    K = 2 * catalog.build("K2_3").expression
+    assert catalog.build("X2", {"K2_3": K}.__getitem__).expression == hamiltonian_vf(K)
+
+
 def test_k_family_reduces_to_originals():
     for kname, name in (("V_h1_k", "V_h1"), ("V_h2_k", "V_h2"), ("V_h3_k", "V_h3"),
                         ("J_h1_3_k", "J_h1_3"), ("J_h2_4_k", "J_h2_4"),

@@ -73,6 +73,53 @@ def test_a_long_rejected_argument_is_cut_short_in_the_error(capsys, argv):
     assert f"'{argv[-1][:40]}'... (5000 characters)" in line
 
 
+LONG = "z" * 5000
+SIM = ("simulate", "--potential", "U", "--start", "0,1,0,0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--potential", "U", f"--start=0,1,0,{LONG}"),
+    ("simulate", "--potential", LONG, "--start", "0,1,0,0"),
+    (*SIM, "--invariants", LONG),
+    (*SIM, "--invariants", f"H_U,{LONG}"),
+    ("catalog", "show", LONG),
+], ids=["start", "potential", "invariants", "second-invariant", "catalog-show"])
+def test_a_long_unknown_name_or_start_is_cut_short_in_the_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and len(err.encode()) < 300
+    assert "... (5000 characters)" in err
+
+
+USAGE = "usage: holtkit [-h] {verify,bracket,catalog,simulate} ...\n"
+
+
+UNKNOWN_NOPE = "\"unknown catalog name 'nope'; see names()\""
+
+
+# the error lines for short arguments, as written before long ones were cut
+@pytest.mark.parametrize("argv, line", [
+    (("catalog", "show", "nope"), UNKNOWN_NOPE),
+    (("simulate", "--potential", "nope", "--start", "0,1,0,0"), UNKNOWN_NOPE),
+    ((*SIM, "--invariants", "H_U,nope"), UNKNOWN_NOPE),
+    (("catalog", "show", "a'b"), r"""'unknown catalog name "a\'b"; see names()'"""),
+    (("simulate", "--potential", "U", "--start", "0,1,0,zz"),
+     "bad --start value '0,1,0,zz': could not convert string to float: 'zz'"),
+    (("simulate", "--potential", "U", "--start", "0,1,0, zz "),
+     "bad --start value '0,1,0, zz ': could not convert string to float: ' zz '"),
+    (("simulate", "--potential", "U", "--start", "0,nan,0,0"),
+     "bad --start value '0,nan,0,0': coordinates must be finite, got "
+     "PhasePoint(x=0.0, y=nan, px=0.0, py=0.0)"),
+], ids=["show", "potential", "invariants", "quote", "start", "start-spaces", "start-nan"])
+def test_short_rejected_arguments_keep_their_error_line(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err == f"{USAGE}holtkit: error: {line}\n"
+
+
 def test_catalog_show(capsys):
     code, out, _ = run(capsys, "catalog", "show", "U")
     assert code == 0

@@ -130,6 +130,72 @@ def test_fault_injection_leaves_untouched_checks_green():
     bad = replace(entry, expression=_flip_term(entry.expression, 0))
     report = verify.full_suite(entries={"K2_3": bad})
     by_id = {c.id: c for c in report.checks}
-    for cid in ("conserved_J_h1_3", "conserved_K3_4", "limit_K3_4",
-                "gamma_H", "commutator_X2_X3"):
+    for cid in ("conserved_J_h1_3", "conserved_K3_4", "limit_K3_4", "gamma_H"):
         assert by_id[cid].passed, cid
+    # X2 is the field of the K2_3 in force, so the corruption reaches it
+    assert not by_id["commutator_X2_X3"].passed
+
+
+def test_one_suite_reads_every_catalog_name(monkeypatch):
+    read = []
+    real_build = catalog.build
+
+    def recording_build(name, get=None):
+        read.append(name)
+        return real_build(name, get)
+
+    monkeypatch.setattr(catalog, "build", recording_build)
+    assert verify.full_suite().all_passed
+    assert sorted(read) == sorted(catalog.names())  # each name built once
+
+
+def test_an_unknown_override_name_is_a_key_error():
+    bad = catalog.build("K2_3")
+    with pytest.raises(KeyError, match="K2-3"):
+        verify.full_suite(entries={"K2-3": bad})
+
+
+def test_the_suite_calls_each_check_through_the_module(monkeypatch):
+    """A wrapper installed on the module sees every call, as a tracer's does."""
+    calls = {}
+    for kind in ("conserved", "identity", "vf_relation", "lie_closure"):
+        def counting(*args, _kind=kind, _check=getattr(verify, f"check_{kind}"), **kwargs):
+            calls[_kind] = calls.get(_kind, 0) + 1
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(verify, f"check_{kind}", counting)
+    assert verify.full_suite().all_passed
+    assert calls == {"conserved": 8, "identity": 8, "vf_relation": 4, "lie_closure": 2}
+
+
+# the four single-term mutations applied to every term of every potential
+MUTATIONS = {
+    "sign": lambda terms, t: {**terms, t: -terms[t]},
+    "plus_one": lambda terms, t: {**terms, t: terms[t] + 1},
+    "dropped": lambda terms, t: {m: c for m, c in terms.items() if m != t},
+    "u_plus_one": lambda terms, t: {**{m: c for m, c in terms.items() if m != t},
+                                    t._replace(eu=t.eu + 1): terms[t]},
+}
+POTENTIALS = [n for n in catalog.names() if catalog.build(n).kind == "potential"]
+
+
+def _potential_mutants():
+    for name in POTENTIALS:
+        terms = catalog.build(name).expression.terms
+        for index, t in enumerate(sorted(terms, key=lambda m: m.sort_key())):
+            for label, mutate in MUTATIONS.items():
+                yield f"{name}-{index}-{label}", name, PhasePoly(mutate(terms, t))
+
+
+MUTANTS = list(_potential_mutants())
+
+
+def test_there_are_eighty_potential_mutants():
+    assert len(POTENTIALS) == 7 and len(MUTANTS) == 80
+    for _, name, bad in MUTANTS:
+        assert bad != catalog.build(name).expression
+
+
+@pytest.mark.parametrize("name, bad", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS])
+def test_every_potential_mutant_fails_the_suite(name, bad):
+    entry = replace(catalog.build(name), expression=bad)
+    assert not verify.full_suite(entries={name: entry}).all_passed
