@@ -1,9 +1,11 @@
 """Exact verification of higher-order integrals for Holt-family potentials."""
 
-from .ring import K1, K2, K3, ParamPoly, Rational
+from .ring import Rational
 from .phasepoly import (
+    K1,
+    K2,
+    K3,
     DomainError,
-    Monomial,
     PhasePoly,
     Term,
     VectorField,
@@ -23,10 +25,8 @@ __all__ = [
     "K1",
     "K2",
     "K3",
-    "ParamPoly",
     "Rational",
     "DomainError",
-    "Monomial",
     "PhasePoly",
     "Term",
     "VectorField",

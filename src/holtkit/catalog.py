@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from .phasepoly import PX, PY, PhasePoly, U as u, VectorField, X as x, hamiltonian_vf, upow
-from .ring import K1, K2, K3, Scalar
+from .phasepoly import (K1, K2, K3, PX, PY, PhasePoly, U as u, VectorField, X as x,
+                        hamiltonian_vf, upow)
+from .ring import Scalar
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="catalog potential name (e.g. U, V_h1)")
     p_sim.add_argument("--start", required=True, metavar="X,Y,PX,PY",
                        help="initial phase-space point")
-    p_sim.add_argument("--h", type=float, default=1e-3, help="time step")
-    p_sim.add_argument("--t-end", type=float, default=1.0, dest="t_end")
+    p_sim.add_argument("--h", type=_float, default=1e-3, help="time step")
+    p_sim.add_argument("--t-end", type=_float, default=1.0, dest="t_end")
     p_sim.add_argument("--integrator", default="leapfrog2",
                        choices=["leapfrog2", "composed4"])
-    p_sim.add_argument("--y-min", type=float, default=1e-6, dest="y_min",
+    p_sim.add_argument("--y-min", type=_float, default=1e-6, dest="y_min",
                        help="abort guard for the y > 0 domain")
     for k in ("k1", "k2", "k3"):
-        p_sim.add_argument(f"--{k}", type=float, default=0.0)
+        p_sim.add_argument(f"--{k}", type=_float, default=0.0)
     p_sim.add_argument("--out", metavar="PATH",
                        help="write the trajectory table here instead of stdout")
     p_sim.add_argument("--invariants", metavar="NAMES",
@@ -79,6 +79,14 @@ def _quoted(text: str) -> str:
     if len(text) <= _ECHO_CHARS:
         return repr(text)
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
+def _float(text: str) -> float:
+    """float(text) for an option value; a bad value is quoted as _quoted cuts it."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {_quoted(text)}") from None
 
 
 def _entry(name: str, parser: argparse.ArgumentParser) -> catalog.CatalogEntry:

@@ -24,34 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from operator import add
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .ring import (
-    ParamPoly,
-    Scalar,
-    SparsePoly,
-    _frac,
-    _join_signed,
-    _term_text,
-    accumulate,
-    substitute_terms,
-)
+from .ring import Scalar, SparsePoly, _frac, accumulate, substitute_terms
 
 
 class DomainError(ValueError):
     """Numeric evaluation outside its domain: y <= 0, a non-finite point,
     or a value too large for a float."""
-
-
-class Monomial(NamedTuple):
-    """Exponents of one monomial x^ex * u^eu * px^epx * py^epy."""
-
-    ex: int = 0
-    eu: int = 0
-    epx: int = 0
-    epy: int = 0
 
 
 class Term(NamedTuple):
@@ -78,7 +58,8 @@ SLOTS = {"x": (0, 1), "u": (1, 1), "y": (1, 3), "px": (2, 1), "py": (3, 1),
          "k1": (4, 1), "k2": (5, 1), "k3": (6, 1)}
 _PARAM_SLOT = 4
 
-Coefficient = Union[ParamPoly, int, Fraction]
+# factor names in rendered order: parameters first, then Term slots 0-3
+_RENDER_NAMES = ("k1", "k2", "k3", "x", "u", "px", "py")
 
 # float terms (c, ex, eu, epx, epy) of a polynomial at fixed parameters
 FloatTerms = tuple[tuple[float, int, int, int, int], ...]
@@ -97,20 +78,15 @@ class PhasePoly(SparsePoly):
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[Monomial | Term, Coefficient] | None = None):
-        """Keys are Monomials (or Terms); a ParamPoly coefficient expands into
-        one term per parameter monomial."""
-        out: dict[Term, Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            mono, params = Monomial(*key[:4]), tuple(key[4:]) or (0, 0, 0)
-            if len(params) != 3:
+    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
+        """Keys are Terms, or tuples of their first 4 or all 7 exponents."""
+        terms = terms or {}
+        for key in terms:
+            if len(key) not in (4, 7):
                 raise ValueError(f"expected 4 or 7 exponents, got {key}")
-            if mono.ex < 0 or mono.epx < 0 or mono.epy < 0 or min(params) < 0:
+            if min(key[:1] + key[2:]) < 0:
                 raise ValueError(f"negative exponent outside u in {key}")
-            coeffs = coeff.terms if isinstance(coeff, ParamPoly) else {(0, 0, 0): _frac(coeff)}
-            accumulate(out, ((_term((*mono, *map(add, params, triple))), c)
-                             for triple, c in coeffs.items()))
-        self.terms = out
+        self.terms = accumulate({}, ((Term(*k), _frac(c)) for k, c in terms.items()))
 
     @classmethod
     def _rekey(cls, terms: dict) -> "PhasePoly":
@@ -121,13 +97,13 @@ class PhasePoly(SparsePoly):
         return cls()
 
     @classmethod
-    def constant(cls, value: Coefficient) -> "PhasePoly":
-        return cls({Monomial(): value})
+    def constant(cls, value: Scalar) -> "PhasePoly":
+        return cls({Term(): value})
 
     @classmethod
-    def monomial(cls, coeff: Coefficient = 1, ex: int = 0, eu: int = 0,
+    def monomial(cls, coeff: Scalar = 1, ex: int = 0, eu: int = 0,
                  epx: int = 0, epy: int = 0) -> "PhasePoly":
-        return cls({Monomial(ex, eu, epx, epy): coeff})
+        return cls({Term(ex, eu, epx, epy): coeff})
 
     @property
     def momentum_order(self) -> int:
@@ -137,7 +113,7 @@ class PhasePoly(SparsePoly):
     def _coerce(self, other) -> "PhasePoly | None":
         if isinstance(other, PhasePoly):
             return other
-        if isinstance(other, (ParamPoly, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return PhasePoly.constant(other)
         return None
 
@@ -188,21 +164,18 @@ class PhasePoly(SparsePoly):
             values[mono] = values.get(mono, 0.0) + value
         return tuple((values[m], *m) for m in sorted(values) if values[m] != 0.0)
 
-    def compile(self, k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> "CompiledPoly":
-        """Freeze parameters to floats for fast repeated numeric evaluation.
-
-        Generates one straight-line evaluator (see CompiledPoly), which
-        costs about 0.1 ms: worth it for a function called many times.
-        compile_all does the same for several polynomials at one point.
-        """
-        return CompiledPoly(self._fold(k1, k2, k3))
+    def compile(self, k1: float = 0.0, k2: float = 0.0,
+                k3: float = 0.0) -> Callable[[float, float, float, float], float]:
+        """The value alone of compile_all([self], k1, k2, k3) at a point."""
+        evaluate = compile_all([self], k1, k2, k3)
+        return lambda x, y, px, py: evaluate(x, y, px, py)[0]
 
     def evaluate(self, x: float, y: float, px: float, py: float, *,
                  k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> float:
         """Double-precision value at a phase-space point with y > 0.
 
         A plain loop over the folded terms, so a one-shot call skips code
-        generation.  It is the reference CompiledPoly must match bit for bit.
+        generation.  It is the reference compile_all must match bit for bit.
         """
         terms = self._fold(k1, k2, k3)
         if y <= 0.0:
@@ -224,10 +197,15 @@ class PhasePoly(SparsePoly):
         """
         if not self.terms:
             return "0"
-        return _join_signed([
-            _term_text(self.terms[t], t[4:],
-                       (("x", t.ex), ("u", t.eu), ("px", t.epx), ("py", t.epy)))
-            for t in sorted(self.terms, key=Term.sort_key, reverse=True)])
+        text = ""
+        for t in sorted(self.terms, key=Term.sort_key, reverse=True):
+            c = self.terms[t]
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(_RENDER_NAMES, t[4:] + t[:4]) if e]
+            if not factors or abs(c) != 1:
+                factors.insert(0, str(abs(c)))
+            text += f" {'-' if c < 0 else '+'} {'*'.join(factors)}"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _nonpositive_y(y) -> DomainError:
@@ -244,22 +222,20 @@ def _overflow(x, y, px, py) -> DomainError:
 _SUM_CHUNK = 500
 
 
-def _generate(term_lists: Sequence[FloatTerms], *, as_tuple: bool):
-    """One straight-line function of (x, y, px, py) computing, for each list
-    of terms, exactly what PhasePoly.evaluate's loop computes over it.
+def _generate(term_lists: Sequence[FloatTerms]):
+    """One straight-line function of (x, y, px, py) returning the tuple of
+    what PhasePoly.evaluate's loop computes over each list of terms.
 
-    The function returns the tuple of the sums when as_tuple is set, else
-    the one sum of the one list.  It takes the cube root of y once, and
-    each distinct power (u**-2, px**2, ...) once, into a local that every
-    term of every list reuses: the same float the loop's own `**` gives,
-    and an overflow still raises.  A factor with exponent 0 (the float
-    1.0) or 1 (the base itself) is left out, which is exact.  Each sum
-    keeps the term order and 0.0 as its first operand (so -0.0 terms
-    still sum to 0.0), and each product keeps the factor order
-    c * x * u * px * py.  The coefficients are the function's globals
-    c0, c1, ..., not printed literals, because a folded one can be inf
-    or nan.  With no lists at all it returns () for any point, as the
-    empty tuple of evaluate calls does.
+    It takes the cube root of y once, and each distinct power
+    (u**-2, px**2, ...) once, into a local that every term of every list
+    reuses: the same float the loop's own `**` gives, and an overflow still
+    raises.  A factor with exponent 0 (the float 1.0) or 1 (the base itself)
+    is left out, which is exact.  Each sum keeps the term order and 0.0 as
+    its first operand (so -0.0 terms still sum to 0.0), and each product
+    keeps the factor order c * x * u * px * py.  The coefficients are the
+    function's globals c0, c1, ..., not printed literals, because a folded
+    one can be inf or nan.  With no lists at all it returns () for any
+    point, as the empty tuple of evaluate calls does.
     """
     coeffs: list[float] = []
     powers: dict[str, str] = {}  # local name -> power expression
@@ -290,32 +266,13 @@ def _generate(term_lists: Sequence[FloatTerms], *, as_tuple: bool):
                   *sums,
                   "    except OverflowError:",
                   "        raise _overflow(x, y, px, py) from None"]
-    lines.append(f"    return ({''.join(f's{i}, ' for i in range(len(term_lists)))})"
-                 if as_tuple else "    return s0")
+    lines.append(f"    return ({''.join(f's{i}, ' for i in range(len(term_lists)))})")
     namespace = {f"c{i}": c for i, c in enumerate(coeffs)}
     namespace.update(_nonpositive_y=_nonpositive_y, _overflow=_overflow)
     exec("\n".join(lines), namespace)
     # popped, so that the function and its globals form no cycle and are
     # freed as soon as the caller drops the function
     return namespace.pop("evaluate")
-
-
-class CompiledPoly(partial):
-    """Parameter-frozen polynomial, evaluated in double precision through
-    one generated straight-line function (see _generate).
-
-    A partial with no bound arguments: calling it is a C-level call
-    straight into the generated function.  A Python __call__ forwarding to
-    it would add one frame per evaluation, about a tenth of the `orbit`
-    benchmark's warm time.
-    """
-
-    __slots__ = ("terms",)
-
-    def __new__(cls, terms: FloatTerms):
-        self = super().__new__(cls, _generate([terms], as_tuple=False))
-        self.terms = terms
-        return self
 
 
 def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
@@ -329,7 +286,7 @@ def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
     call, which is why a simulate run evaluates its two forces, and all of
     its invariants, through one call each.
     """
-    return _generate([p._fold(k1, k2, k3) for p in polys], as_tuple=True)
+    return _generate([p._fold(k1, k2, k3) for p in polys])
 
 
 # generators for building expressions algebraically
@@ -338,6 +295,9 @@ U = PhasePoly.monomial(eu=1)
 Y = PhasePoly.monomial(eu=3)
 PX = PhasePoly.monomial(epx=1)
 PY = PhasePoly.monomial(epy=1)
+K1 = PhasePoly({Term(k1=1): 1})
+K2 = PhasePoly({Term(k2=1): 1})
+K3 = PhasePoly({Term(k3=1): 1})
 
 
 def upow(n: int) -> PhasePoly:
@@ -393,7 +353,7 @@ class VectorField:
         return VectorField(-self.cx, -self.cy, -self.cpx, -self.cpy)
 
     def __mul__(self, scalar) -> "VectorField":
-        if not isinstance(scalar, (PhasePoly, ParamPoly, int, Fraction)):
+        if not isinstance(scalar, (PhasePoly, int, Fraction)):
             return NotImplemented
         return VectorField(self.cx * scalar, self.cy * scalar,
                            self.cpx * scalar, self.cpy * scalar)

@@ -1,11 +1,11 @@
-"""Exact coefficient ring: rationals and sparse polynomials in k1, k2, k3.
+"""Exact coefficient ring: rationals and the sparse-polynomial kernel.
 
 Coefficients are arbitrary-precision rationals throughout; high-order
 bracket expansions overflow 64-bit integers, so fixed-width arithmetic is
 never used.
 
-SparsePoly holds what ParamPoly and phasepoly.PhasePoly share: a dict from
-an exponent tuple to a nonzero Fraction (the layout of SymPy's PolyElement),
+SparsePoly is the arithmetic of phasepoly.PhasePoly: a dict from an
+exponent tuple to a nonzero Fraction (the layout of SymPy's PolyElement),
 with one accumulate helper and one power routine behind every operation.
 """
 
@@ -21,7 +21,6 @@ from typing import Hashable, Iterable, Mapping, Union
 # and 0/1 for zero, which is exactly the coefficient contract we need.
 Rational = Fraction
 
-Triple = tuple[int, int, int]
 Scalar = Union[int, Fraction]
 
 
@@ -168,99 +167,6 @@ class SparsePoly:
         return f"{type(self).__name__}({self.render()!r})"
 
 
+# read only by the TARGETS of bench/tracing.py; ROADMAP item 3 retires it
 class ParamPoly(SparsePoly):
-    """Sparse polynomial in the coupling parameters k1, k2, k3.
-
-    Terms map an exponent triple (e1, e2, e3) to a nonzero Rational.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[Triple, Scalar] | None = None):
-        normalized: dict[Triple, Fraction] = {}
-        if terms:
-            for triple, coeff in terms.items():
-                e1, e2, e3 = triple
-                if e1 < 0 or e2 < 0 or e3 < 0:
-                    raise ValueError(f"negative parameter exponent in {triple}")
-                c = _frac(coeff)
-                if c:
-                    normalized[(e1, e2, e3)] = c
-        self.terms = normalized
-
-    @classmethod
-    def const(cls, value: Scalar) -> "ParamPoly":
-        return cls({(0, 0, 0): _frac(value)})
-
-    @classmethod
-    def gen(cls, index: int) -> "ParamPoly":
-        """The generator k1, k2, or k3 (index 1, 2, 3)."""
-        if index not in (1, 2, 3):
-            raise ValueError("parameter index must be 1, 2, or 3")
-        triple = tuple(1 if i == index else 0 for i in (1, 2, 3))
-        return cls({triple: Fraction(1)})
-
-    def _coerce(self, other) -> "ParamPoly | None":
-        if isinstance(other, ParamPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly.const(other)
-        return None
-
-    def evaluate(self, k1: Scalar, k2: Scalar, k3: Scalar) -> Fraction:
-        """Exact substitution of rational parameter values."""
-        k1, k2, k3 = _frac(k1), _frac(k2), _frac(k3)
-        total = Fraction(0)
-        for (e1, e2, e3), coeff in self.terms.items():
-            total += coeff * k1**e1 * k2**e2 * k3**e3
-        return total
-
-    def substitute(self, k1: Scalar | None = None, k2: Scalar | None = None,
-                   k3: Scalar | None = None) -> "ParamPoly":
-        """Substitute the given parameters exactly, leave the rest symbolic."""
-        return self._wrap(substitute_terms(self.terms, 0, (k1, k2, k3)))
-
-    def float_at(self, k1: float, k2: float, k3: float) -> float:
-        """Double-precision value of the polynomial at float parameters."""
-        total = 0.0
-        for (e1, e2, e3), coeff in self.terms.items():
-            total += float(coeff) * k1**e1 * k2**e2 * k3**e3
-        return total
-
-    def render(self) -> str:
-        """Canonical text: k1 terms before k2 before k3, constants last."""
-        if not self.terms:
-            return "0"
-        return _join_signed([_term_text(self.terms[triple], triple)
-                             for triple in sorted(self.terms, reverse=True)])
-
-
-K1 = ParamPoly.gen(1)
-K2 = ParamPoly.gen(2)
-K3 = ParamPoly.gen(3)
-ONE = ParamPoly.const(1)
-ZERO = ParamPoly()
-
-_PARAM_NAMES = ("k1", "k2", "k3")
-
-
-def _term_text(coeff: Fraction, triple: Triple,
-               extra_factors: tuple[tuple[str, int], ...] = ()) -> tuple[str, str]:
-    """(sign, body) for one rendered term; body follows the expression grammar."""
-    factors = []
-    for name, e in tuple(zip(_PARAM_NAMES, triple)) + extra_factors:
-        if e == 0:
-            continue
-        factors.append(name if e == 1 else f"{name}^{e}")
-    magnitude = abs(coeff)
-    if not factors or magnitude != 1:
-        factors.insert(0, str(magnitude))
-    return ("-" if coeff < 0 else "+", "*".join(factors))
-
-
-def _join_signed(pieces: list[tuple[str, str]]) -> str:
-    sign, body = pieces[0]
-    text = body if sign == "+" else "-" + body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+    pass

@@ -20,8 +20,7 @@ from holtkit.dynamics import (
     convergence_order,
     integrate,
 )
-from holtkit.phasepoly import Monomial, PhasePoly, poisson_bracket
-from holtkit.ring import ParamPoly
+from holtkit.phasepoly import PhasePoly, Term, poisson_bracket
 
 
 @pytest.fixture(scope="module")
@@ -90,21 +89,21 @@ def test_08_heisenberg_closures(report):
 def _random_param_poly(rng):
     terms = {}
     for _ in range(rng.randint(0, 2)):
-        triple = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
-        terms[triple] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
-    return ParamPoly(terms)
+        term = Term(k1=rng.randint(0, 2), k2=rng.randint(0, 2), k3=rng.randint(0, 2))
+        terms[term] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+    return PhasePoly(terms)
 
 
 def _random_phase_poly(rng):
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        mono = Monomial(rng.randint(0, 2), rng.randint(-3, 3),
-                        rng.randint(0, 2), rng.randint(0, 2))
+        mono = Term(rng.randint(0, 2), rng.randint(-3, 3),
+                    rng.randint(0, 2), rng.randint(0, 2))
         coeff = _random_param_poly(rng)
         if coeff.is_zero:
-            coeff = ParamPoly.const(rng.randint(1, 3))
+            coeff = PhasePoly.constant(rng.randint(1, 3))
         terms[mono] = coeff
-    return PhasePoly(terms)
+    return sum((c * PhasePoly({m: 1}) for m, c in terms.items()), PhasePoly.zero())
 
 
 def test_09_algebraic_property_suite(report):

@@ -4,8 +4,7 @@ from pathlib import Path
 import pytest
 
 from holtkit import catalog
-from holtkit.phasepoly import PhasePoly, VectorField, X, hamiltonian_vf, poisson_bracket
-from holtkit.ring import K2
+from holtkit.phasepoly import K2, PhasePoly, VectorField, X, hamiltonian_vf, poisson_bracket
 
 
 def test_names_cover_all_kinds():

@@ -120,6 +120,40 @@ def test_short_rejected_arguments_keep_their_error_line(capsys, argv, line):
     assert capsys.readouterr().err == f"{USAGE}holtkit: error: {line}\n"
 
 
+SIM_USAGE = (
+    "usage: holtkit simulate [-h] --potential POTENTIAL --start X,Y,PX,PY [--h H]\n"
+    "                        [--t-end T_END] [--integrator {leapfrog2,composed4}]\n"
+    "                        [--y-min Y_MIN] [--k1 K1] [--k2 K2] [--k3 K3]\n"
+    "                        [--out PATH] [--invariants NAMES]\n")
+
+
+def sim_error(capsys, monkeypatch, *extra):
+    """stderr of a simulate call that exits 2, with the usage wrapped at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main([*SIM, *extra])
+    assert exc_info.value.code == 2
+    return capsys.readouterr().err
+
+
+# captured before the float options were cut
+@pytest.mark.parametrize("extra, line", [
+    (("--h", "abc"), "argument --h: invalid float value: 'abc'"),
+    (("--t-end", ","), "argument --t-end: invalid float value: ','"),
+], ids=["h", "t-end"])
+def test_a_short_bad_float_option_keeps_its_stderr(capsys, monkeypatch, extra, line):
+    err = sim_error(capsys, monkeypatch, *extra)
+    assert err == f"{SIM_USAGE}holtkit simulate: error: {line}\n"
+
+
+@pytest.mark.parametrize("option", ["--h", "--t-end", "--y-min", "--k1", "--k2", "--k3"])
+def test_a_long_bad_float_option_is_cut_short_in_the_error(capsys, monkeypatch, option):
+    err = sim_error(capsys, monkeypatch, option, LONG)
+    assert err == (f"{SIM_USAGE}holtkit simulate: error: argument {option}: "
+                   f"invalid float value: '{LONG[:40]}'... (5000 characters)\n")
+    assert len(err.encode()) - len(SIM_USAGE) < 200
+
+
 def test_catalog_show(capsys):
     code, out, _ = run(capsys, "catalog", "show", "U")
     assert code == 0
@@ -136,6 +170,8 @@ def test_catalog_list_has_all_entries(capsys):
     from holtkit import catalog
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
+    # captured before K1-K3 became PhasePoly generators
+    assert out == (Path(__file__).parent / "data" / "catalog_list.txt").read_text()
     lines = out.strip().split("\n")
     assert len(lines) == len(catalog.names())
     for line in lines:

@@ -1,8 +1,22 @@
+"""Exact arithmetic in the parameters k1, k2, k3, the PhasePoly generators."""
+
 from fractions import Fraction
 
 import pytest
 
-from holtkit.ring import K1, K2, K3, ONE, ZERO, ParamPoly
+import holtkit
+from holtkit.phasepoly import K1, K2, K3, PhasePoly, Term
+
+ONE = PhasePoly.constant(1)
+ZERO = PhasePoly.zero()
+
+
+def test_parameters_are_phase_poly_generators():
+    assert (holtkit.K1, holtkit.K2, holtkit.K3) == (K1, K2, K3)
+    assert all(type(k) is PhasePoly for k in (K1, K2, K3))
+    assert [dict(k.terms) for k in (K1, K2, K3)] == [
+        {Term(k1=1): 1}, {Term(k2=1): 1}, {Term(k3=1): 1}]
+    assert not {"ParamPoly", "Monomial"} & set(holtkit.__all__)
 
 
 def test_zero_and_one():
@@ -13,13 +27,14 @@ def test_zero_and_one():
 
 
 def test_constructor_drops_zero_coefficients():
-    p = ParamPoly({(1, 0, 0): Fraction(0), (0, 1, 0): Fraction(2)})
+    p = PhasePoly({Term(k1=1): Fraction(0), Term(k2=1): Fraction(2)})
     assert p == 2 * K2
+    assert list(p.terms) == [Term(k2=1)]
 
 
 def test_negative_parameter_exponent_rejected():
     with pytest.raises(ValueError):
-        ParamPoly({(-1, 0, 0): Fraction(1)})
+        PhasePoly({Term(k1=-1): Fraction(1)})
 
 
 def test_arithmetic_is_exact():
@@ -41,15 +56,15 @@ def test_pow_rejects_negative():
 
 def test_evaluate():
     p = 2 * K1 * K3 + K2**2
-    assert p.evaluate(Fraction(1, 2), 3, 4) == Fraction(13)
-    assert p.float_at(0.5, 3.0, 4.0) == 13.0
+    assert p.substitute_params(Fraction(1, 2), 3, 4) == Fraction(13)
+    assert p.evaluate(0.0, 1.0, 0.0, 0.0, k1=0.5, k2=3.0, k3=4.0) == 13.0
 
 
 def test_substitute_partial():
     p = K1 * K2 + K3
-    q = p.substitute(k1=2)
+    q = p.substitute_params(k1=2)
     assert q == 2 * K2 + K3
-    assert q.substitute(k2=Fraction(1, 2), k3=0) == 1
+    assert q.substitute_params(k2=Fraction(1, 2), k3=0) == 1
 
 
 def test_render_deterministic_and_readable():
@@ -61,6 +76,6 @@ def test_render_deterministic_and_readable():
 
 
 def test_equality_against_numbers():
-    assert ParamPoly.const(Fraction(3, 4)) == Fraction(3, 4)
-    assert ParamPoly.const(5) == 5
+    assert PhasePoly.constant(Fraction(3, 4)) == Fraction(3, 4)
+    assert PhasePoly.constant(5) == 5
     assert K1 != 1

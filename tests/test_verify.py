@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from holtkit import catalog, verify
-from holtkit.phasepoly import PX, PhasePoly, VectorField, poisson_bracket, upow
-from holtkit.ring import K2
+from holtkit.phasepoly import K2, PX, X, PhasePoly, VectorField, poisson_bracket, upow
 
 EXPECTED_IDS = [
     "conserved_J_h1_3", "conserved_J_h1_3_k",
@@ -89,6 +88,16 @@ def test_lie_closure_requires_claims():
         verify.check_lie_closure({}, {})
 
 
+@pytest.mark.parametrize("basis, claimed", [
+    ({"a": X}, {("a", "b"): 7 * X}),
+    ({"a": X, "b": PX}, {("a", "b"): PhasePoly.constant(1), ("b", "a"): PhasePoly.constant(1)}),
+], ids=["outside-basis", "both-orientations"])
+def test_lie_closure_rejects_a_claim_it_would_not_check(basis, claimed):
+    # {x, px} = 1, so only the reversed claim of the second table is wrong
+    with pytest.raises(KeyError):
+        verify.check_lie_closure(basis, claimed)
+
+
 def test_lie_closure_single_element_trivial():
     K23 = catalog.build("K2_3").expression
     c = verify.check_lie_closure({"a": K23}, {})
@@ -98,7 +107,7 @@ def test_lie_closure_single_element_trivial():
 def test_lie_closure_uses_antisymmetry_for_reversed_claims():
     K23 = catalog.build("K2_3").expression
     K34 = catalog.build("K3_4").expression
-    claimed = {("K2_3", "K3_4"): PhasePoly.constant(-108 * K2**3)}
+    claimed = {("K2_3", "K3_4"): -108 * K2**3}
     c = verify.check_lie_closure({"K3_4": K34, "K2_3": K23}, claimed)
     assert c.passed
 
