@@ -1,5 +1,8 @@
 """Exact verification of higher-order integrals for Holt-family potentials."""
 
+# first, so that every submodule can import it while the package loads
+__version__ = "0.1.0"
+
 from .ring import Rational
 from .phasepoly import (
     K1,
@@ -42,5 +45,3 @@ __all__ = [
     "ParseError",
     "parse_expression",
 ]
-
-__version__ = "0.1.0"

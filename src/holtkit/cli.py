@@ -26,7 +26,7 @@ from .phasepoly import DomainError, PhasePoly, poisson_bracket
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holtkit",
         description="Exact verification and numeric corroboration of "
                     "higher-order integrals of Holt-family potentials.")
@@ -54,14 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="catalog potential name (e.g. U, V_h1)")
     p_sim.add_argument("--start", required=True, metavar="X,Y,PX,PY",
                        help="initial phase-space point")
-    p_sim.add_argument("--h", type=_float, default=1e-3, help="time step")
-    p_sim.add_argument("--t-end", type=_float, default=1.0, dest="t_end")
+    p_sim.add_argument("--h", type=float, default=1e-3, help="time step")
+    p_sim.add_argument("--t-end", type=float, default=1.0, dest="t_end")
     p_sim.add_argument("--integrator", default="leapfrog2",
                        choices=["leapfrog2", "composed4"])
-    p_sim.add_argument("--y-min", type=_float, default=1e-6, dest="y_min",
+    p_sim.add_argument("--y-min", type=float, default=1e-6, dest="y_min",
                        help="abort guard for the y > 0 domain")
     for k in ("k1", "k2", "k3"):
-        p_sim.add_argument(f"--{k}", type=_float, default=0.0)
+        p_sim.add_argument(f"--{k}", type=float, default=0.0)
     p_sim.add_argument("--out", metavar="PATH",
                        help="write the trajectory table here instead of stdout")
     p_sim.add_argument("--invariants", metavar="NAMES",
@@ -81,12 +81,30 @@ def _quoted(text: str) -> str:
     return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
 
 
-def _float(text: str) -> float:
-    """float(text) for an option value; a bad value is quoted as _quoted cuts it."""
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {_quoted(text)}") from None
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose error messages cut every over-long argument of
+    its own command line as _quoted does.
+
+    argparse quotes a rejected value, choice or unrecognized argument in
+    full, and its wording differs between Python versions, so the cut
+    replaces the argument's repr, or else its bare text, wherever the
+    message holds it.  A message without a long argument is left as
+    argparse wrote it.
+    """
+
+    _long: list[str] = []  # the long arguments, longest first
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        # an --option=value argument is also cut where the value stands alone
+        texts = {*args, *(a.partition("=")[2] for a in args if a.startswith("-"))}
+        self._long = sorted((t for t in texts if len(t) > _ECHO_CHARS), key=len, reverse=True)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        for text in self._long:
+            message = message.replace(repr(text), _quoted(text)).replace(text, _quoted(text))
+        super().error(message)
 
 
 def _entry(name: str, parser: argparse.ArgumentParser) -> catalog.CatalogEntry:

@@ -307,8 +307,10 @@ def upow(n: int) -> PhasePoly:
 
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     """{f, g} = f_x g_px + f_y g_py - f_px g_x - f_py g_y, exactly."""
-    return (f.diff("x") * g.diff("px") + f.diff("y") * g.diff("py")
-            - f.diff("px") * g.diff("x") - f.diff("py") * g.diff("y"))
+    return PhasePoly._sum_of_products([(1, f.diff("x"), g.diff("px")),
+                                       (1, f.diff("y"), g.diff("py")),
+                                       (-1, f.diff("px"), g.diff("x")),
+                                       (-1, f.diff("py"), g.diff("y"))])
 
 
 @dataclass(frozen=True)
@@ -334,8 +336,8 @@ class VectorField:
 
     def apply(self, f: PhasePoly) -> PhasePoly:
         """Directional derivative of f along the field (y via the u chain rule)."""
-        return (self.cx * f.diff("x") + self.cy * f.diff("y")
-                + self.cpx * f.diff("px") + self.cpy * f.diff("py"))
+        return PhasePoly._sum_of_products(
+            (1, c, f.diff(var)) for c, var in zip(self.components(), ("x", "y", "px", "py")))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):

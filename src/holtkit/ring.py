@@ -5,8 +5,18 @@ bracket expansions overflow 64-bit integers, so fixed-width arithmetic is
 never used.
 
 SparsePoly is the arithmetic of phasepoly.PhasePoly: a dict from an
-exponent tuple to a nonzero Fraction (the layout of SymPy's PolyElement),
-with one accumulate helper and one power routine behind every operation.
+exponent tuple to a nonzero Fraction (the layout of SymPy's PolyElement).
+Sums go through one accumulate helper.  Every product goes through one
+sum-of-products kernel, SparsePoly._sum_of_products: a plain product is
+one (sign, a, b) triple, a Poisson bracket or a vector field applied to a
+polynomial is four.  The kernel multiplies integer numerators, with every
+operand scaled once to its own least common denominator, accumulates all
+pairs of all products into one integer dict over one common denominator,
+and makes one Fraction per surviving term at the end.  Small products
+(at most _PACK_RATIO pairs per operand term, such as a monomial times a
+polynomial) add exponent tuples; larger ones add exponents packed into one
+integer per term (Kronecker substitution), with a slot width taken from
+the operands' exponent range so that every result decodes exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Hashable, Iterable, Mapping, Union
 
 # fractions.Fraction already guarantees lowest terms, positive denominator,
@@ -33,10 +43,7 @@ def _frac(value) -> Fraction:
 
 
 def accumulate(out: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
-    """Add each (key, coeff) into out, dropping keys whose sum cancels; returns out.
-
-    Coefficients are Fractions, or ints inside a product's pair loop.
-    """
+    """Add each (key, coeff) into out, dropping keys whose sum cancels; returns out."""
     for key, coeff in pairs:
         if key in out:
             acc = out[key] + coeff
@@ -73,6 +80,67 @@ def _scaled(terms: Mapping[tuple, Fraction]) -> tuple[int, list[tuple[tuple, int
     """(d, [(key, c * d)]) with d the least common denominator of the terms."""
     den = reduce(lcm, (c.denominator for c in terms.values()), 1)
     return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+
+
+# the kernel's operands: (sign, denominator, scaled left terms, scaled right
+# terms) per product, every term scaled by _scaled to an integer numerator
+# over that denominator
+Scaled = list[tuple[int, int, list[tuple[tuple, int]], list[tuple[tuple, int]]]]
+
+
+# pairs per operand term above which the products add packed keys: packing
+# an operand term and decoding a result term each cost about what packing
+# saves on two or three pairs, so packing pays only when the products merge
+# many pairs into few terms, as a bracket of two large polynomials does; in
+# the paper suite and the ladder workload the crossover lies between 2 and 6
+_PACK_RATIO = 4
+
+
+def _tuple_products(scaled: Scaled, den: int) -> dict[tuple, int]:
+    """Accumulate the scaled products over the common denominator den on
+    exponent-tuple keys."""
+    sums: dict[tuple, int] = {}
+    get = sums.get
+    for sign, d, left, right in scaled:
+        factor = sign * (den // d)
+        for ka, na in left:
+            na *= factor
+            for kb, nb in right:
+                key = (*map(add, ka, kb),)
+                sums[key] = get(key, 0) + na * nb
+    return sums
+
+
+def _packed_products(scaled: Scaled, den: int) -> dict[tuple, int]:
+    """Accumulate the scaled products over the common denominator den on
+    packed integer keys, then decode the surviving keys into exponent tuples.
+
+    Every operand exponent e lies in [lo, hi], over all slots and operands,
+    and packs as (e - lo) << (s * i) in slot i, so slot i of a product holds
+    a_i + b_i - 2 * lo, between 0 and 2 * (hi - lo) < 2^s: the packing is
+    exact, and adding two packed operand keys adds their exponents.
+    """
+    exponents = [k for _, _, left, right in scaled for k, _ in left + right]
+    lo, hi = min(map(min, exponents)), max(map(max, exponents))
+    bits = (2 * (hi - lo)).bit_length()
+    shifts = [bits * i for i in range(len(exponents[0]))]
+    weights = [1 << t for t in shifts]
+    base = lo * sum(weights)
+    sums: dict[int, int] = {}
+    get = sums.get
+    for sign, d, left, right in scaled:
+        factor = sign * (den // d)
+        right = [(sum(map(mul, k, weights)) - base, n) for k, n in right]
+        for k, na in left:
+            ka = sum(map(mul, k, weights)) - base
+            na *= factor
+            for kb, nb in right:
+                key = ka + kb
+                sums[key] = get(key, 0) + na * nb
+    keys = [k for k, n in sums.items() if n]
+    mask, offset = (1 << bits) - 1, 2 * lo
+    slots = [[((k >> t) & mask) + offset for k in keys] for t in shifts]
+    return dict(zip(zip(*slots), [sums[k] for k in keys]))
 
 
 class SparsePoly:
@@ -136,16 +204,31 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # integer numerators over one denominator per operand: the pair loop
-        # runs on ints, and each result term is reduced to lowest terms once
-        da, left = _scaled(self.terms)
-        db, right = _scaled(o.terms)
-        sums = accumulate({}, (((*map(add, a, b),), na * nb)
-                               for a, na in left for b, nb in right))
-        den = da * db
-        return self._rekey({k: Fraction(n, den) for k, n in sums.items()})
+        return self._sum_of_products([(1, self, o)])
 
     __rmul__ = __mul__
+
+    @classmethod
+    def _sum_of_products(cls, triples: Iterable[tuple[int, "SparsePoly", "SparsePoly"]]):
+        """The sum of sign * a * b over (sign, a, b) triples, exactly.
+
+        Each operand is scaled once to integer numerators over its own least
+        common denominator, every pair of every product accumulates into one
+        integer dict over one common denominator, and each surviving term
+        becomes a Fraction once, at the end.  Exponents are added as packed
+        integer keys when the products have more than _PACK_RATIO pairs per
+        operand term, as tuples otherwise.
+        """
+        scaled, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
+        for sign, a, b in triples:
+            if a.terms and b.terms:
+                da, left = _scaled(a.terms)
+                db, right = _scaled(b.terms)
+                scaled.append((sign, da * db, left, right))
+                den = lcm(den, da * db)
+                excess += len(left) * len(right) - _PACK_RATIO * (len(left) + len(right))
+        sums = (_packed_products if excess > 0 else _tuple_products)(scaled, den)
+        return cls._rekey({k: Fraction(n, den) for k, n in sums.items() if n})
 
     def __pow__(self, exponent: int):
         """Repeated squaring; x**0 is the constant 1."""

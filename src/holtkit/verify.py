@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, Mapping
 
-from . import catalog
+from . import __version__, catalog
 from .phasepoly import (
     K2,
     K3,
@@ -26,6 +26,10 @@ from .phasepoly import (
     poisson_bracket,
     vf_commutator,
 )
+
+# version of the `verify --out` JSON layout; raised when a key changes meaning
+# or goes away
+SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,10 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
+        """The report as JSON, tagged with its schema and package versions."""
         doc = {
+            "schema_version": SCHEMA_VERSION,
+            "holtkit_version": __version__,
             "all_passed": self.all_passed,
             "checks": [
                 {

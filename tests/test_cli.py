@@ -1,10 +1,12 @@
 """Exit-code contract and deterministic output of the command surface."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
+from holtkit import cli
 from holtkit.cli import main
 
 
@@ -152,6 +154,46 @@ def test_a_long_bad_float_option_is_cut_short_in_the_error(capsys, monkeypatch, 
     assert err == (f"{SIM_USAGE}holtkit simulate: error: argument {option}: "
                    f"invalid float value: '{LONG[:40]}'... (5000 characters)\n")
     assert len(err.encode()) - len(SIM_USAGE) < 200
+
+
+def stderr_of(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    assert exc_info.value.code == 2
+    return capsys.readouterr().err
+
+
+# argparse's own rejections: a choice, a subcommand, an unrecognized argument
+# and a float, given apart or as --option=value
+@pytest.mark.parametrize("argv", [
+    (*SIM, "--integrator", LONG),
+    (*SIM, f"--integrator={LONG}"),
+    (LONG,),
+    ("verify", LONG),
+    (*SIM, f"--h={LONG}"),
+], ids=["integrator", "integrator=", "subcommand", "unrecognized", "h="])
+def test_a_long_argument_argparse_rejects_is_cut_short(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    err = stderr_of(capsys, argv)
+    # the simulate usage is 282 bytes; argparse's wording around the cut
+    # argument differs between Python versions, so only the cut is pinned
+    assert err.count("error:") == 1 and len(err.encode()) < 500
+    assert f"'{LONG[:40]}'... (5000 characters)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    (*SIM, "--integrator", "zz"),
+    (*SIM, "--integrator=zz"),
+    ("zz",),
+    ("verify", "zz"),
+    (*SIM, "--h", "abc"),
+    (*SIM, "--invariants", LONG[:40]),
+], ids=["integrator", "integrator=", "subcommand", "unrecognized", "h", "40-characters"])
+def test_a_short_argument_argparse_rejects_keeps_its_stderr(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    err = stderr_of(capsys, argv)
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    assert err == stderr_of(capsys, argv)
 
 
 def test_catalog_show(capsys):

@@ -1,9 +1,11 @@
 """Kernel behavior: arithmetic, differentiation, brackets, vector fields."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from holtkit import catalog, ring, verify
 from holtkit.phasepoly import (
     K1,
     K2,
@@ -47,6 +49,64 @@ def test_addition_cancels():
 def test_multiplication_merges_exponents():
     assert upow(-2) * U**5 == U**3
     assert (X * PX) * (X * PY) == X**2 * PX * PY
+
+
+def _key_layouts(monkeypatch):
+    """The key layout of every kernel call from now on, in call order."""
+    seen = []
+    for layout in ("tuple", "packed"):
+        products = getattr(ring, f"_{layout}_products")
+        monkeypatch.setattr(ring, f"_{layout}_products",
+                            lambda *args, layout=layout, products=products:
+                            seen.append(layout) or products(*args))
+    return seen
+
+
+def _powers_of_x(n):
+    return PhasePoly({Term(ex=i): 1 for i in range(n)})
+
+
+def test_the_key_layout_follows_the_operand_sizes(monkeypatch):
+    assert ring._PACK_RATIO == 4
+    eight, nine = _powers_of_x(8), _powers_of_x(9)
+    products = [lambda: 3 * nine,  # 9 pairs, 10 terms
+                lambda: eight * eight,  # 64 pairs, 16 terms: 4 per term
+                lambda: eight * nine,  # 72 pairs, 17 terms
+                lambda: PhasePoly() * nine]  # no pairs, nothing to add
+    expected = [PhasePoly({Term(ex=i): 3 for i in range(9)}),
+                PhasePoly({Term(ex=k): min(k + 1, 15 - k) for k in range(15)}),
+                PhasePoly({Term(ex=k): min(k + 1, 8, 16 - k) for k in range(16)}),
+                PhasePoly()]
+    seen = _key_layouts(monkeypatch)
+    assert [p() for p in products] == expected
+    assert seen == ["tuple", "tuple", "packed", "tuple"]
+
+
+def test_the_paper_suite_adds_tuple_keys_and_the_ladder_packed_keys(monkeypatch):
+    seen = _key_layouts(monkeypatch)
+    assert verify.full_suite().all_passed
+    assert set(seen) == {"tuple"}
+    A, B = catalog.build("K3_4").expression, catalog.build("K2_3").expression
+    A2, B2 = A**2, B**2
+    del seen[:]
+    poisson_bracket(A2, B2)
+    assert seen == ["packed"]
+
+
+LADDER_K = (Fraction(13, 17), Fraction(-19, 23))
+
+
+def test_ladder_brackets_render_as_captured():
+    """render() of {K3_4^a, K2_3^b} for a = 1..4 (outer loop) and b = 1..3,
+    first with k symbolic, then at (k2, k3) = LADDER_K: one line each,
+    captured from the kernel that added the four products term by term."""
+    lines = []
+    for k2, k3 in ((None, None), LADDER_K):
+        A = catalog.build("K3_4").expression.substitute_params(k2=k2, k3=k3)
+        B = catalog.build("K2_3").expression.substitute_params(k2=k2, k3=k3)
+        lines += [poisson_bracket(A**a, B**b).render() for a in range(1, 5) for b in range(1, 4)]
+    golden = (Path(__file__).parent / "data" / "ladder_brackets.txt").read_text()
+    assert "".join(f"{line}\n" for line in lines) == golden
 
 
 def test_pow_rejects_negative_exponent():

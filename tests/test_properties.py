@@ -5,8 +5,9 @@ size, and sixth-degree randomized products would only burn time.
 """
 
 from fractions import Fraction
+from operator import neg
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holtkit.parsing import parse_expression
 from holtkit.phasepoly import (
@@ -14,6 +15,7 @@ from holtkit.phasepoly import (
     DomainError,
     PhasePoly,
     Term,
+    VectorField,
     X,
     compile_all,
     hamiltonian_vf,
@@ -95,6 +97,69 @@ def test_field_commutator_matches_bracket(f, g):
 def test_derivation_product_rule(f, g):
     for var in ("x", "u", "y", "px", "py"):
         assert (f * g).diff(var) == f.diff(var) * g + g.diff(var) * f
+
+
+def _pairwise(products):
+    """The sum of sign * a * b over (sign, a, b), one Fraction product per pair
+    of terms: the reference the sum-of-products kernel is held to."""
+    out = {}
+    for sign, a, b in products:
+        for ka, ca in a.terms.items():
+            for kb, cb in b.terms.items():
+                key = tuple(x + y for x, y in zip(ka, kb))
+                out[key] = out.get(key, 0) + sign * ca * cb
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _bracket_products(f, g):
+    return [(1, f.diff("x"), g.diff("px")), (1, f.diff("y"), g.diff("py")),
+            (-1, f.diff("px"), g.diff("x")), (-1, f.diff("py"), g.diff("y"))]
+
+
+def _same_terms(result, reference):
+    return result.terms == reference and all(type(t) is Term for t in result.terms)
+
+
+# exponents at the edges of the packed keys' slots: small ones, and powers of
+# two up to past 2^63 with their neighbours; u also takes them negated
+_BOUNDARIES = sorted({2**k + d for k in (1, 2, 3, 4, 31, 32, 63, 64) for d in (-1, 0, 1)})
+kernel_exponents = st.one_of(st.integers(0, 3), st.sampled_from(_BOUNDARIES))
+kernel_terms = st.builds(Term, ex=kernel_exponents,
+                         eu=st.one_of(kernel_exponents, kernel_exponents.map(neg)),
+                         epx=kernel_exponents, epy=kernel_exponents,
+                         k1=st.integers(0, 1), k2=kernel_exponents, k3=st.integers(0, 1))
+# mixed denominators; few distinct values, so that pair sums cancel often
+kernel_coefficients = st.sampled_from(
+    [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3, 7)])
+# 0 to 3 terms, with 0- and 1-term operands, whose products add tuple keys,
+# or 9 to 12 terms, whose products with each other add packed keys (more
+# than ring._PACK_RATIO pairs per operand term)
+kernel_polys = st.one_of(
+    st.dictionaries(kernel_terms, kernel_coefficients, max_size=3),
+    st.dictionaries(kernel_terms, kernel_coefficients, min_size=9, max_size=12),
+).map(PhasePoly)
+
+_BIG = PhasePoly({Term(ex=2**31, eu=-2**31, epx=1): Fraction(1, 2),
+                  Term(ex=2**31 - 1, eu=1 - 2**31, epy=2): Fraction(-2, 3)})
+# nine terms, so that its products with itself add packed keys
+_WIDE = PhasePoly({Term(ex=2**31 + i, eu=i - 2**31, epx=i % 2, epy=1, k2=i): Fraction(1, i + 1)
+                   for i in range(9)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_polys, kernel_polys, kernel_polys, kernel_polys)
+@example(_BIG, _BIG + X, PX, PhasePoly())
+@example(_WIDE, _WIDE - X**2, _WIDE * PX, _BIG)
+@example(X**2 + upow(-1), X**2 - upow(-1), X * PX, PhasePoly.constant(Fraction(1, 3)))
+def test_the_kernel_matches_a_pairwise_fraction_loop(f, g, h, k):
+    assert _same_terms(f * g, _pairwise([(1, f, g)]))
+    assert _same_terms((f + g) * (f - g), _pairwise([(1, f + g, f - g)]))  # f*g cancels
+    for a, b in ((f, g), (g, h), (f, f)):  # {f, f} cancels to zero
+        assert _same_terms(poisson_bracket(a, b), _pairwise(_bracket_products(a, b)))
+    field = VectorField(f, g, h, k)
+    assert _same_terms(field.apply(h), _pairwise(
+        [(1, c, h.diff(var)) for c, var in zip(field.components(), ("x", "y", "px", "py"))]))
+    assert hamiltonian_vf(f).apply(f).is_zero
 
 
 @settings(max_examples=80, deadline=None)

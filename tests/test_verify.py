@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import holtkit
 from holtkit import catalog, verify
 from holtkit.phasepoly import K2, PX, X, PhasePoly, VectorField, poisson_bracket, upow
 
@@ -45,6 +46,9 @@ def test_passed_checks_have_no_residual(report):
 
 def test_json_document_shape(report):
     doc = json.loads(report.to_json())
+    assert list(doc) == ["schema_version", "holtkit_version", "all_passed", "checks"]
+    assert doc["schema_version"] == verify.SCHEMA_VERSION == 1
+    assert doc["holtkit_version"] == holtkit.__version__
     assert doc["all_passed"] is True
     assert len(doc["checks"]) == len(EXPECTED_IDS)
     for item in doc["checks"]:
