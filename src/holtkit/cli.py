@@ -158,12 +158,21 @@ def _run_bracket(args, parser) -> int:
         raw = getattr(args, k)
         if raw is not None:
             try:
+                # Fraction reads "1e99999999" by computing 10**99999999
+                if "e" in raw or "E" in raw:
+                    raise ValueError
                 subs[k] = Fraction(raw)
             except (ValueError, ZeroDivisionError):
-                parser.error(f"--{k} must be an exact rational, got {_quoted(raw)}")
+                parser.error(f"--{k} must be an integer or p/q, got {_quoted(raw)}")
     if subs:
         result = result.substitute_params(**subs)
-    print(result.render())
+    try:
+        text = result.render()
+    except ValueError:  # a coefficient past sys.get_int_max_str_digits()
+        at = ", ".join(f"--{k} {_quoted(getattr(args, k))}" for k in subs)
+        parser.error(f"the bracket of {_quoted(args.first)} and {_quoted(args.second)}"
+                     f"{' at ' + at if at else ''} has a coefficient too long to print")
+    print(text)
     return 0
 
 

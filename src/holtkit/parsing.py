@@ -21,12 +21,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .phasepoly import SLOTS, PhasePoly, Term
+from .phasepoly import SLOTS, PhasePoly, Term, _term
 from .ring import accumulate
 
-# longest names first: an alternation takes the first alternative that matches
+# longest names first: an alternation takes the first alternative that
+# matches.  Where no symbol matches, the catch-all takes the rest of the text
+# as one token, so only the last token can be one that is not a symbol.
 _NAMES = "|".join(sorted(SLOTS, key=len, reverse=True))
-_TOKEN = re.compile(rf"\s*({_NAMES}|\d+|[-+*/^])")
+_TOKEN = re.compile(rf"\s*({_NAMES}|\d+|[-+*/^]|\S.*)", re.DOTALL)
+_OPERATORS = frozenset("+-*/^")
 
 
 class ParseError(ValueError):
@@ -39,33 +42,41 @@ class ParseError(ValueError):
         super().__init__(f"{reason} at position {pos}: {text[pos:pos + 12]!r}")
 
 
-def _tokenize(text: str) -> tuple[list[str], list[int]]:
-    """The tokens of text, closed by "" where matching stops, and their starts.
+def _tokenize(text: str) -> list[str]:
+    """The symbols of text, closed by "" where reading stops.
 
-    A token starts where the whitespace before it starts, which is the end
-    of the token before it: the position an error at that token reports.
-    Two lists rather than one of pairs: CPython keeps up to 2000 freed
-    2-tuples on a free list, which would hold a long text's pairs after the
-    parse has returned.
+    The text was read to its end (trailing whitespace aside) unless "" is
+    followed by one more token: the rest of the text from the first
+    character that starts no symbol.
     """
-    tokens, starts, pos = [], [], 0
-    while m := _TOKEN.match(text, pos):
-        tokens.append(m[1])
-        starts.append(pos)
-        pos = m.end()
-    tokens.append("")
-    starts.append(pos)
-    return tokens, starts
+    tokens = _TOKEN.findall(text)
+    last = tokens[-1] if tokens else ""
+    if last and not (last in SLOTS or last in _OPERATORS or last.isdecimal()):
+        tokens.insert(-1, "")
+    else:
+        tokens.append("")
+    return tokens
+
+
+def _start(text: str, index: int) -> int:
+    """Where token index of _tokenize(text) starts: where the whitespace
+    before it starts, which is the end of the token before it."""
+    end = 0
+    for n, m in enumerate(_TOKEN.finditer(text)):
+        if n == index:
+            return m.start()
+        end = m.end()
+    return end
 
 
 def parse_expression(text: str) -> PhasePoly:
     """Parse canonical expression text into an exact PhasePoly."""
-    tokens, starts = _tokenize(text)
+    tokens = _tokenize(text)
     op = tokens[0]
     i = 1 if op in ("+", "-") else 0  # index of the next unread token
 
     def error(reason: str) -> ParseError:
-        return ParseError(text, starts[i], reason)
+        return ParseError(text, _start(text, i), reason)
 
     def integer() -> int:
         nonlocal i
@@ -83,17 +94,16 @@ def parse_expression(text: str) -> PhasePoly:
     while True:
         if not tokens[i]:
             raise error("expected term")
-        coeff = Fraction(1)
+        num, den = 1, 1
         exponents = [0] * len(Term._fields)
         more = True  # whether a factor must follow
         if tokens[i].isdigit():
-            coeff = Fraction(integer())
+            num = integer()
             if tokens[i] == "/":
                 i += 1
                 den = integer()
                 if den == 0:
                     raise error("zero denominator")
-                coeff /= den
             more = tokens[i] == "*"
             if not more and tokens[i] in SLOTS:
                 raise error("missing '*' after numeric coefficient")
@@ -115,10 +125,10 @@ def parse_expression(text: str) -> PhasePoly:
             exponents[slot] += scale * exponent
             more = tokens[i] == "*"
             i += more
-        pairs.append((Term(*exponents), -coeff if op == "-" else coeff))
+        pairs.append((_term(exponents), Fraction(-num if op == "-" else num, den)))
 
         op = tokens[i]
-        if not op and not text[starts[i]:].strip():
+        if not op and i + 1 == len(tokens):  # read to the end of the text
             return PhasePoly._wrap(accumulate({}, pairs))
         if op not in ("+", "-"):
             raise error("expected '+' or '-' between terms")

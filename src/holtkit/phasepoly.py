@@ -24,14 +24,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .ring import Scalar, SparsePoly, _frac, accumulate, substitute_terms
+from .ring import Scalar, Scaled, SparsePoly, _frac, _scaled, accumulate, substitute_terms
 
 
 class DomainError(ValueError):
     """Numeric evaluation outside its domain: y <= 0, a non-finite point,
     or a value too large for a float."""
+
+
+# momentum-leading order, matching how the integrals are written: (epx, epy,
+# ex, eu, k1, k2, k3), parameters last, so one monomial's parameter terms
+# stay together
+_SORT_KEY = itemgetter(2, 3, 0, 1, 4, 5, 6)
 
 
 class Term(NamedTuple):
@@ -46,14 +53,13 @@ class Term(NamedTuple):
     k3: int = 0
 
     def sort_key(self):
-        # momentum-leading order, matching how the integrals are written;
-        # parameters last, so one monomial's parameter terms stay together
-        return (self.epx, self.epy, self.ex, self.eu, self.k1, self.k2, self.k3)
+        return _SORT_KEY(self)
 
 
 # name -> (Term slot, scale): the exponent e of a name is scale * e in its
 # slot, so y is u^3.  Parameters k1-k3 fill slots 4-6 and are never
-# differentiated.  The parser and PhasePoly.diff both read this table.
+# differentiated.  The parser and the derivative rule, _partial, both read
+# this table.
 SLOTS = {"x": (0, 1), "u": (1, 1), "y": (1, 3), "px": (2, 1), "py": (3, 1),
          "k1": (4, 1), "k2": (5, 1), "k3": (6, 1)}
 _PARAM_SLOT = 4
@@ -67,6 +73,20 @@ FloatTerms = tuple[tuple[float, int, int, int, int], ...]
 
 def _term(exponents: tuple) -> Term:
     return tuple.__new__(Term, exponents)
+
+
+def _partial(operand: Scaled, var: str) -> Scaled:
+    """The partial derivative along x, u, px, py, or y of scaled terms
+    (see ring._scaled), scaled the same way: a term's exponent e in var's
+    slot multiplies its numerator and drops by the scale, which multiplies
+    the denominator.  Distinct terms stay distinct and nonzero.
+    """
+    i, scale = SLOTS.get(var, (_PARAM_SLOT, 0))
+    if i >= _PARAM_SLOT:
+        raise ValueError(f"unknown direction {var!r}")
+    den, terms = operand
+    return den * scale, [(k[:i] + (k[i] - scale,) + k[i + 1:], n * k[i])
+                         for k, n in terms if k[i]]
 
 
 class PhasePoly(SparsePoly):
@@ -123,13 +143,8 @@ class PhasePoly(SparsePoly):
         The y-derivative is the chain rule through u: a monomial u^n maps
         to (n/3) u^(n-3), which keeps the result inside the ring.
         """
-        i, scale = SLOTS.get(var, (_PARAM_SLOT, 0))
-        if i >= _PARAM_SLOT:
-            raise ValueError(f"unknown direction {var!r}")
-        # distinct terms stay distinct and nonzero, so nothing accumulates
-        return self._wrap({_term(t[:i] + (t[i] - scale,) + t[i + 1:]):
-                           Fraction(c.numerator * t[i], c.denominator * scale)
-                           for t, c in self.terms.items() if t[i]})
+        den, terms = _partial(_scaled(self.terms), var)
+        return self._wrap({_term(k): Fraction(n, den) for k, n in terms})
 
     def momentum_part(self, epx: int, epy: int) -> "PhasePoly":
         """Coefficient of px^epx * py^epy: matching terms with momenta stripped."""
@@ -195,16 +210,20 @@ class PhasePoly(SparsePoly):
         Terms are sorted momentum-first (epx, epy, ex, eu, then k1, k2, k3,
         all descending), one rendered term per Term.
         """
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         text = ""
-        for t in sorted(self.terms, key=Term.sort_key, reverse=True):
-            c = self.terms[t]
+        for t in sorted(terms, key=_SORT_KEY, reverse=True):
+            c = terms[t]
+            n, d = c.numerator, c.denominator
             factors = [name if e == 1 else f"{name}^{e}"
                        for name, e in zip(_RENDER_NAMES, t[4:] + t[:4]) if e]
-            if not factors or abs(c) != 1:
-                factors.insert(0, str(abs(c)))
-            text += f" {'-' if c < 0 else '+'} {'*'.join(factors)}"
+            if d != 1:
+                factors.insert(0, f"{abs(n)}/{d}")
+            elif not factors or (n != 1 and n != -1):
+                factors.insert(0, str(abs(n)))
+            text += f" {'-' if n < 0 else '+'} {'*'.join(factors)}"
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
@@ -307,10 +326,11 @@ def upow(n: int) -> PhasePoly:
 
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     """{f, g} = f_x g_px + f_y g_py - f_px g_x - f_py g_y, exactly."""
-    return PhasePoly._sum_of_products([(1, f.diff("x"), g.diff("px")),
-                                       (1, f.diff("y"), g.diff("py")),
-                                       (-1, f.diff("px"), g.diff("x")),
-                                       (-1, f.diff("py"), g.diff("y"))])
+    f, g = _scaled(f.terms), _scaled(g.terms)
+    return PhasePoly._sum_of_products([(1, _partial(f, "x"), _partial(g, "px")),
+                                       (1, _partial(f, "y"), _partial(g, "py")),
+                                       (-1, _partial(f, "px"), _partial(g, "x")),
+                                       (-1, _partial(f, "py"), _partial(g, "y"))])
 
 
 @dataclass(frozen=True)
@@ -336,8 +356,10 @@ class VectorField:
 
     def apply(self, f: PhasePoly) -> PhasePoly:
         """Directional derivative of f along the field (y via the u chain rule)."""
+        f = _scaled(f.terms)
         return PhasePoly._sum_of_products(
-            (1, c, f.diff(var)) for c, var in zip(self.components(), ("x", "y", "px", "py")))
+            (1, _scaled(c.terms), _partial(f, var))
+            for c, var in zip(self.components(), ("x", "y", "px", "py")))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):

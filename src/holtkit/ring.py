@@ -9,14 +9,16 @@ exponent tuple to a nonzero Fraction (the layout of SymPy's PolyElement).
 Sums go through one accumulate helper.  Every product goes through one
 sum-of-products kernel, SparsePoly._sum_of_products: a plain product is
 one (sign, a, b) triple, a Poisson bracket or a vector field applied to a
-polynomial is four.  The kernel multiplies integer numerators, with every
-operand scaled once to its own least common denominator, accumulates all
-pairs of all products into one integer dict over one common denominator,
-and makes one Fraction per surviving term at the end.  Small products
-(at most _PACK_RATIO pairs per operand term, such as a monomial times a
-polynomial) add exponent tuples; larger ones add exponents packed into one
-integer per term (Kronecker substitution), with a slot width taken from
-the operands' exponent range so that every result decodes exactly.
+polynomial is four.  The kernel multiplies integer numerators: its caller
+scales every operand once to integer numerators over a denominator
+(_scaled), and phasepoly takes derivatives on those integers.  The kernel
+accumulates all pairs of all products into one integer dict over one
+common denominator, and makes one Fraction per surviving term at the end.
+Small products (at most _PACK_RATIO pairs per operand term, such as a
+monomial times a polynomial) add exponent tuples; larger ones add
+exponents packed into one integer per term (Kronecker substitution), with
+a slot width taken from the operands' exponent range so that every result
+decodes exactly.
 """
 
 from __future__ import annotations
@@ -76,16 +78,20 @@ def substitute_terms(terms: Mapping[tuple, Fraction], first: int,
     return accumulate({}, substituted())
 
 
-def _scaled(terms: Mapping[tuple, Fraction]) -> tuple[int, list[tuple[tuple, int]]]:
+# one operand of the kernel: (d, [(key, n)]), the terms n / d with integer n
+Scaled = tuple[int, list[tuple[tuple, int]]]
+
+
+def _scaled(terms: Mapping[tuple, Fraction]) -> Scaled:
     """(d, [(key, c * d)]) with d the least common denominator of the terms."""
     den = reduce(lcm, (c.denominator for c in terms.values()), 1)
     return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
 
 
-# the kernel's operands: (sign, denominator, scaled left terms, scaled right
-# terms) per product, every term scaled by _scaled to an integer numerator
-# over that denominator
-Scaled = list[tuple[int, int, list[tuple[tuple, int]], list[tuple[tuple, int]]]]
+# the products of one kernel call, as _tuple_products and _packed_products
+# read them: (sign, denominator, left terms, right terms), every term an
+# integer numerator over that denominator
+Products = list[tuple[int, int, list[tuple[tuple, int]], list[tuple[tuple, int]]]]
 
 
 # pairs per operand term above which the products add packed keys: packing
@@ -96,7 +102,7 @@ Scaled = list[tuple[int, int, list[tuple[tuple, int]], list[tuple[tuple, int]]]]
 _PACK_RATIO = 4
 
 
-def _tuple_products(scaled: Scaled, den: int) -> dict[tuple, int]:
+def _tuple_products(scaled: Products, den: int) -> dict[tuple, int]:
     """Accumulate the scaled products over the common denominator den on
     exponent-tuple keys."""
     sums: dict[tuple, int] = {}
@@ -111,7 +117,7 @@ def _tuple_products(scaled: Scaled, den: int) -> dict[tuple, int]:
     return sums
 
 
-def _packed_products(scaled: Scaled, den: int) -> dict[tuple, int]:
+def _packed_products(scaled: Products, den: int) -> dict[tuple, int]:
     """Accumulate the scaled products over the common denominator den on
     packed integer keys, then decode the surviving keys into exponent tuples.
 
@@ -204,26 +210,24 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._sum_of_products([(1, self, o)])
+        return self._sum_of_products([(1, _scaled(self.terms), _scaled(o.terms))])
 
     __rmul__ = __mul__
 
     @classmethod
-    def _sum_of_products(cls, triples: Iterable[tuple[int, "SparsePoly", "SparsePoly"]]):
+    def _sum_of_products(cls, triples: Iterable[tuple[int, Scaled, Scaled]]):
         """The sum of sign * a * b over (sign, a, b) triples, exactly.
 
-        Each operand is scaled once to integer numerators over its own least
-        common denominator, every pair of every product accumulates into one
-        integer dict over one common denominator, and each surviving term
-        becomes a Fraction once, at the end.  Exponents are added as packed
-        integer keys when the products have more than _PACK_RATIO pairs per
-        operand term, as tuples otherwise.
+        Each operand comes scaled (see _scaled) to integer numerators over a
+        denominator, every pair of every product accumulates into one integer
+        dict over one common denominator, and each surviving term becomes a
+        Fraction once, at the end.  Exponents are added as packed integer
+        keys when the products have more than _PACK_RATIO pairs per operand
+        term, as tuples otherwise.
         """
         scaled, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
-        for sign, a, b in triples:
-            if a.terms and b.terms:
-                da, left = _scaled(a.terms)
-                db, right = _scaled(b.terms)
+        for sign, (da, left), (db, right) in triples:
+            if left and right:
                 scaled.append((sign, da * db, left, right))
                 den = lcm(den, da * db)
                 excess += len(left) * len(right) - _PACK_RATIO * (len(left) + len(right))

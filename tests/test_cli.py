@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -60,10 +61,48 @@ def test_bracket_rejects_an_integer_past_the_conversion_limit(capsys):
     assert err.count("error:") == 1 and "integer of 5000 digits is too long" in err
 
 
+@pytest.mark.parametrize("value", ["1e99999999", "1E5", "2.5e-3"])
+def test_bracket_rejects_exponent_notation_at_once(capsys, value):
+    # Fraction("1e99999999") would compute 10**99999999 before returning.
+    # main runs on a daemon thread, so that a hang fails the test rather
+    # than blocking the suite; one C-level call such as that power still
+    # holds the interpreter lock, so the join can only end once it returns.
+    exits = []
+
+    def target():
+        try:
+            main(["bracket", "x", "x", "--k2", value])
+        except SystemExit as exc:
+            exits.append(exc.code)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert exits == [2]
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"holtkit: error: --k2 must be an integer or p/q, got {value!r}"
+
+
+def test_bracket_whose_coefficient_is_too_long_to_print_exits_2(capsys):
+    # 108 * k2^3 at k2 = 10^1500 has 4503 digits, past the int-to-str limit
+    k2 = "1" + "0" * 1500
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bracket", "K3_4", "K2_3", "--k2", k2])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"holtkit: error: the bracket of 'K3_4' and 'K2_3' at --k2 '{k2[:40]}'... "
+        "(1501 characters) has a coefficient too long to print")
+
+
 @pytest.mark.parametrize("argv", [
     ("bracket", "x", "1" * 5000),
     ("bracket", "x", "x+" * 2500),
     ("bracket", "x", "x", "--k2", "1/" * 2500),
+    # a 6000-digit coefficient, too long to print
+    ("bracket", "9" * 3000 + "*x" + "+x" * 999, "9" * 3000 + "*px" + "+x" * 997 + "+py"),
 ])
 def test_a_long_rejected_argument_is_cut_short_in_the_error(capsys, argv):
     with pytest.raises(SystemExit) as exc_info:

@@ -37,6 +37,12 @@ def test_whitespace_insensitive():
     assert a == b
 
 
+def test_tabs_and_newlines_separate_tokens():
+    assert parse_expression("x\t+\ny") == X + Y
+    assert parse_expression("u^-2\t-\n3/4*k2 \t\n") == upow(-2) - Fraction(3, 4) * K2
+    assert parse_expression("x\n\t*\ty") == X * Y
+
+
 def test_like_terms_accumulate():
     assert parse_expression("x + x") == 2 * X
     assert parse_expression("x - x").is_zero
@@ -88,6 +94,28 @@ MALFORMED = [
     ("- -x", 1, "expected variable or parameter name"),
     ("x - - y", 3, "expected variable or parameter name"),
     ("1/2*", 4, "expected variable or parameter name"),
+    # where reading stops at a character that starts no symbol
+    ("x + k4", 3, "expected term"),
+    ("x*k", 2, "expected variable or parameter name"),
+    ("k", 0, "expected term"),
+    ("2/3x", 3, "missing '*' after numeric coefficient"),
+    ("3/4 px", 3, "missing '*' after numeric coefficient"),
+    ("u^-2 &", 4, "expected '+' or '-' between terms"),
+    ("x + y  $", 5, "expected '+' or '-' between terms"),
+    ("x &  ", 1, "expected '+' or '-' between terms"),
+    ("x\n&", 1, "expected '+' or '-' between terms"),
+    ("x\t+ &\n", 3, "expected term"),
+    ("x +\t", 3, "expected term"),
+    ("x + -", 3, "expected variable or parameter name"),
+    ("x*-1", 2, "expected variable or parameter name"),
+    ("2/-3", 2, "expected integer"),
+    ("x^2y", 3, "expected '+' or '-' between terms"),
+    ("12ab", 2, "expected '+' or '-' between terms"),
+    ("x_1", 1, "expected '+' or '-' between terms"),
+    ("  x  ,", 3, "expected '+' or '-' between terms"),
+    ("x + k12", 6, "expected '+' or '-' between terms"),
+    ("x + \u00b2", 3, "expected term"),
+    ("x*\u0663", 2, "expected variable or parameter name"),
 ]
 
 

@@ -204,6 +204,28 @@ def test_render_flattens_parameter_sums():
     assert f.render() == "k2*x + k3*x"
 
 
+# (polynomial, render()): the sign, the +-1 and the denominator branches
+RENDERED = [
+    (PhasePoly.constant(-1), "-1"),
+    (PhasePoly.constant(1), "1"),
+    (PhasePoly.constant(Fraction(7, 2)), "7/2"),
+    (-X, "-x"),
+    (PhasePoly.constant(Fraction(-1, 3)), "-1/3"),
+    (Fraction(-1, 3) * PX, "-1/3*px"),
+    (Fraction(-1, 3) * X + 1, "-1/3*x + 1"),
+    (108 * K2**3 - 1, "108*k2^3 - 1"),
+    (-PX * X - Fraction(1, 3), "-x*px - 1/3"),
+    (Fraction(-5, 7) * PX**2 + X, "-5/7*px^2 + x"),
+    (Fraction(-5, 7) * K2 * PX**2 - Fraction(2, 3) * X + Fraction(1, 2),
+     "-5/7*k2*px^2 - 2/3*x + 1/2"),
+]
+
+
+@pytest.mark.parametrize("poly, text", RENDERED)
+def test_render_coefficient_edge_cases(poly, text):
+    assert poly.render() == text
+
+
 def test_param_poly_coefficients_expand_into_flat_terms():
     f = (K1 + 2 * K2 - Fraction(1, 3) * K3) * X * upow(-2) * PX + 1 + K1**2 + 5 * U * PY**2
     expansion = PhasePoly({Term(1, -2, 1, 0, 1, 0, 0): 1, Term(1, -2, 1, 0, 0, 1, 0): 2,
