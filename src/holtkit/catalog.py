@@ -8,17 +8,15 @@ y^(-2/3) is u^-2.  Hamiltonians are (1/2)(px^2 + py^2) + V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .phasepoly import (K1, K2, K3, PX, PY, PhasePoly, U as u, VectorField, X as x,
                         hamiltonian_vf, upow)
 from .ring import Scalar
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str  # potential | hamiltonian | integral | vectorfield
     expression: PhasePoly | VectorField
@@ -218,4 +216,4 @@ def specialize(entry: CatalogEntry, k1: Scalar | None = None,
         new = expr.substitute_params(k1=k1, k2=k2, k3=k3)
     if new.is_zero:
         raise ValueError(f"specialization annihilates {entry.name}")
-    return replace(entry, expression=new, momentum_order=new.momentum_order)
+    return entry._replace(expression=new, momentum_order=new.momentum_order)

@@ -10,10 +10,8 @@ order estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isfinite
-from statistics import linear_regression
 from typing import Iterable, NamedTuple, Sequence
 
 from .catalog import CatalogEntry
@@ -67,8 +65,7 @@ class PhasePoint(_Coordinates):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimFields(NamedTuple):
     h: float
     t_end: float
     integrator: str = "leapfrog2"
@@ -77,7 +74,14 @@ class SimConfig:
     k2: float = 0.0
     k3: float = 0.0
 
-    def __post_init__(self):
+
+class SimConfig(_SimFields):
+    """Step, duration, integrator, y guard and parameters of one run, checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("h", "t_end", "y_min", "k1", "k2", "k3"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -96,12 +100,25 @@ class SimConfig:
             raise ValueError("y_min must be positive")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SimConfig":
+        # _replace builds through _make; keep the checks on that path too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    times: tuple[float, ...]
-    points: tuple[PhasePoint, ...]
+    """The sample times and points of one run; len() counts the samples."""
+
+    __slots__ = ("times", "points")
+
+    def __init__(self, times: tuple[float, ...], points: tuple[PhasePoint, ...]):
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "points", points)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -110,15 +127,13 @@ class Trajectory:
         return iter(self.points)
 
 
-@dataclass(frozen=True)
-class InvariantDrift:
+class InvariantDrift(NamedTuple):
     name: str
     initial: float
     drift: float  # max |I(t) - I(0)| / max(|I(0)|, 1)
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     invariants: tuple[InvariantDrift, ...]
     samples: int
 
@@ -216,7 +231,7 @@ def convergence_order(potential: CatalogEntry, start: PhasePoint,
             raise ValueError("each step size must halve the previous one")
     log_h, log_d = [], []
     for h in h_list:
-        traj = integrate(potential, start, replace(cfg, h=h))
+        traj = integrate(potential, start, cfg._replace(h=h))
         report = drift_report(traj, [invariant], k1=cfg.k1, k2=cfg.k2, k3=cfg.k3)
         drift = report.invariants[0].drift
         if drift > 0.0:
@@ -224,6 +239,8 @@ def convergence_order(potential: CatalogEntry, start: PhasePoint,
             log_d.append(math.log(drift))
     if len(log_d) < 2:
         return None
+    # imported here: no other path needs statistics, and every start-up paid for it
+    from statistics import linear_regression
     return linear_regression(log_h, log_d).slope
 
 

@@ -22,7 +22,6 @@ to +108 k2^3, matching the sign the catalog transcriptions assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -333,8 +332,7 @@ def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
                                        (-1, _partial(f, "py"), _partial(g, "y"))])
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     """Flow components along x, y, px, py."""
 
     cx: PhasePoly

@@ -9,11 +9,9 @@ transcription slip.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import __version__, catalog
 from .phasepoly import (
@@ -32,8 +30,7 @@ from .phasepoly import (
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     description: str
     citation: str
@@ -42,8 +39,7 @@ class Check:
     millis: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property
@@ -52,6 +48,7 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """The report as JSON, tagged with its schema and package versions."""
+        import json  # only `verify --out` writes JSON; keep it out of every start-up
         doc = {
             "schema_version": SCHEMA_VERSION,
             "holtkit_version": __version__,
@@ -250,6 +247,9 @@ def full_suite(entries: Mapping[str, "catalog.CatalogEntry"] | None = None) -> V
         # looked up per run, so a wrapper installed on the module sees the call
         check = globals()[f"check_{kind}"](*operands(get), id=id,
                                             description=description, citation=citation)
-        checks.append(replace(check, millis=(time.perf_counter() - t0) * 1000.0))
+        # not check._replace: it builds the record from a map of unknown length,
+        # and every tuple it resizes ends on CPython's free list of 6-tuples,
+        # which then holds 2000 of them (0.17 MB) for the rest of the process
+        checks.append(Check(*check[:-1], (time.perf_counter() - t0) * 1000.0))
     get.cache_clear()  # get refers to itself, so free the entries without waiting for gc
     return VerificationReport(tuple(checks))

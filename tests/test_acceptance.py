@@ -7,7 +7,6 @@ nothing; numeric checks state their tolerance inline.
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -192,7 +191,7 @@ def test_11_fault_injection_on_cubic_integral():
     for mono in monos:
         flipped = dict(entry.expression.terms)
         flipped[mono] = -flipped[mono]
-        bad = replace(entry, expression=PhasePoly(flipped))
+        bad = entry._replace(expression=PhasePoly(flipped))
         rep = verify.full_suite(entries={"K2_3": bad})
         by_id = {c.id: c for c in rep.checks}
         for cid in ("conserved_K2_3", "bracket_K3_K2", "relation_K4_6"):

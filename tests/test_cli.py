@@ -97,6 +97,52 @@ def test_bracket_whose_coefficient_is_too_long_to_print_exits_2(capsys):
         "(1501 characters) has a coefficient too long to print")
 
 
+def main_within(seconds, argv):
+    """main(argv)'s exit code, run on a daemon thread that must end in time."""
+    exits = []
+
+    def target():
+        try:
+            exits.append(main(argv))
+        except SystemExit as exc:
+            exits.append(exc.code)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive()
+    return exits[0]
+
+
+@pytest.mark.parametrize("first, values", [
+    ("k2^99999999*x", ["--k2", "3"]),
+    ("k2^99999999*x", ["--k2", "1/3"]),  # the denominator is the long part
+    ("k2^99999999*x + k2*x - 5*k2^2*x", ["--k2", "3"]),  # the top power outweighs the rest
+    ("k1^99999999*k2^5*x + 7*px", ["--k1", "6/5", "--k2", "1/2"]),
+    ("k2^20000*x", ["--k2", "3"]),
+])
+def test_bracket_refuses_a_power_too_long_to_print_before_computing_it(capsys, first, values):
+    # substituting first would compute 3^99999999 (47.7 million digits)
+    assert main_within(10, ["bracket", first, "px", *values]) == 2
+    err = capsys.readouterr().err
+    at = ", ".join(f"{k} {v!r}" for k, v in zip(values[::2], values[1::2]))
+    assert err.splitlines()[-1] == (f"holtkit: error: the bracket of {first!r} and 'px' "
+                                    f"at {at} has a coefficient too long to print")
+
+
+@pytest.mark.parametrize("first, values, out", [
+    ("k2^2000*x", ["--k2", "3"], str(3**2000)),
+    # two 9543-digit terms that cancel exactly
+    ("k2^20000*x - k3^20000*x", ["--k2", "3", "--k3", "3"], "0"),
+    ("k2^20000*x - k3^20000*x + k2*x", ["--k2", "3", "--k3", "3"], "3"),
+    ("k1^99999999*k2^99999999*x", ["--k1", "-1", "--k2", "1"], "-1"),
+    ("k2^99999999*x + x", ["--k2", "0"], "1"),
+])
+def test_bracket_prints_what_substitution_leaves_short(capsys, first, values, out):
+    assert main_within(10, ["bracket", first, "px", *values]) == 0
+    assert capsys.readouterr().out == out + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("bracket", "x", "1" * 5000),
     ("bracket", "x", "x+" * 2500),

@@ -1,7 +1,6 @@
 """Identity engine behavior, including deliberate fault injection."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -129,7 +128,7 @@ def test_single_sign_flip_in_cubic_integral_is_caught(index):
     """Any one sign error in the 5-term cubic integral breaks conservation,
     the cubic/quartic bracket value, and the sextic functional relation."""
     entry = catalog.build("K2_3")
-    bad = replace(entry, expression=_flip_term(entry.expression, index))
+    bad = entry._replace(expression=_flip_term(entry.expression, index))
     report = verify.full_suite(entries={"K2_3": bad})
     assert not report.all_passed
     by_id = {c.id: c for c in report.checks}
@@ -140,7 +139,7 @@ def test_single_sign_flip_in_cubic_integral_is_caught(index):
 
 def test_fault_injection_leaves_untouched_checks_green():
     entry = catalog.build("K2_3")
-    bad = replace(entry, expression=_flip_term(entry.expression, 0))
+    bad = entry._replace(expression=_flip_term(entry.expression, 0))
     report = verify.full_suite(entries={"K2_3": bad})
     by_id = {c.id: c for c in report.checks}
     for cid in ("conserved_J_h1_3", "conserved_K3_4", "limit_K3_4", "gamma_H"):
@@ -210,5 +209,5 @@ def test_there_are_eighty_potential_mutants():
 
 @pytest.mark.parametrize("name, bad", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS])
 def test_every_potential_mutant_fails_the_suite(name, bad):
-    entry = replace(catalog.build(name), expression=bad)
+    entry = catalog.build(name)._replace(expression=bad)
     assert not verify.full_suite(entries={name: entry}).all_passed
