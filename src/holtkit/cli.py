@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import catalog, verify
@@ -150,49 +149,10 @@ def _run_verify(args, parser) -> int:
     return 0 if report.all_passed else 1
 
 
-def _too_long_to_print(poly: PhasePoly, subs: dict[str, Fraction]) -> bool:
-    """Whether poly.substitute_params(**subs) provably has a coefficient that
-    render cannot print, decided from logarithms without computing a power.
-
-    str() refuses an integer of more than sys.get_int_max_str_digits()
-    digits.  The terms that substitution puts on one monomial add up to its
-    coefficient S.  Where the largest of their magnitudes, A, is at least
-    ten times the sum of the others (a lone term always is), no
-    cancellation takes |S| out of [0.9 A, 1.1 A]: S's numerator is then at
-    least 0.9 A and its denominator at least 1 / (1.1 A), so one of them
-    has too many digits once |log10 A| exceeds the limit by one.  Elsewhere
-    S may cancel down to zero, and nothing is refused.  A log10 is a sum of
-    50-digit products, trusted to within 1e-45 of the sum of their sizes.
-    """
-    # Python 3.10 before 3.10.7 has no limit, and no function to read it
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return False
-    values = {SLOTS[k][0]: v for k, v in subs.items()}
-    groups: dict[tuple, list] = {}
-    with localcontext() as ctx:
-        ctx.prec = 50
-
-        def log(n: int) -> Decimal:
-            return Decimal(n).log10()
-
-        logs = {i: (log(abs(v.numerator)), log(v.denominator)) for i, v in values.items() if v}
-        for key, c in poly.terms.items():
-            if any(key[i] for i in values.keys() - logs.keys()):
-                continue  # a positive power of zero
-            parts = [log(abs(c.numerator)), -log(c.denominator)]
-            for i, (num, den) in logs.items():
-                parts += [key[i] * num, -key[i] * den]
-            size, slack = sum(parts), sum(map(abs, parts)) / 10**45
-            monomial = tuple(0 if i in values else e for i, e in enumerate(key))
-            groups.setdefault(monomial, []).append((size - slack, size + slack))
-        for bounds in groups.values():
-            (low, high), *rest = sorted(bounds, reverse=True)
-            if rest and low - max(h for _, h in rest) < 1 + log(len(rest)):
-                continue
-            if low > limit + 1 or -high > limit + 1:
-                return True
-    return False
+# the most bits a bracket term's substituted powers may cost: far past the
+# 14.3k bits of the 4300 digits render prints by default, while a power of
+# that size still takes well under a second
+_SUBSTITUTION_BITS = 2**20
 
 
 def _run_bracket(args, parser) -> int:
@@ -214,8 +174,14 @@ def _run_bracket(args, parser) -> int:
     too_long = (f"the bracket of {_quoted(args.first)} and {_quoted(args.second)}"
                 f"{' at ' + at if at else ''} has a coefficient too long to print")
     if subs:
-        # substitute_params computes every power in full, however long
-        if _too_long_to_print(result, subs):
+        # substitute_params computes every power in full.  A term costs, per
+        # substituted p/q with exponent e, e * (bits of max(|p|, q) - 1), so
+        # 0 and +-1 cost nothing; a term past the budget is refused even
+        # where the terms would cancel
+        bits = {SLOTS[k][0]: max(abs(v.numerator), v.denominator).bit_length() - 1
+                for k, v in subs.items()}
+        if any(sum(key[i] * b for i, b in bits.items()) > _SUBSTITUTION_BITS
+               for key in result.terms):
             parser.error(too_long)
         result = result.substitute_params(**subs)
     try:
@@ -275,11 +241,7 @@ def _run_simulate(args, parser) -> int:
         invariants.append(e)
 
     try:
-        traj = integrate(potential, start, cfg)
-        table = format_trajectory(traj, invariants,
-                                  k1=args.k1, k2=args.k2, k3=args.k3)
-        report = drift_report(traj, invariants,
-                              k1=args.k1, k2=args.k2, k3=args.k3)
+        traj = integrate(potential, start, cfg, invariants)
     except TrajectoryAborted as exc:
         print(f"trajectory aborted: {exc}", file=sys.stderr)
         return 3
@@ -287,6 +249,8 @@ def _run_simulate(args, parser) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 
+    table = format_trajectory(traj)
+    report = drift_report(traj)
     if args.out:
         _write_out(args.out, table, parser)
     else:

@@ -2,9 +2,10 @@
 
 Forces come from symbolic differentiation of the catalog potential,
 compiled once per run into one evaluator for both components; there is no
-numerical differentiation anywhere.  Invariants, too, are evaluated through
-one call per sample.  Fixed step only: the convergence study needs clean
-order estimates.
+numerical differentiation anywhere.  After the steps, one generated pass
+evaluates every tracked invariant once per sample; the table and the drift
+report only read what it stored.  Fixed step only: the convergence study
+needs clean order estimates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import isfinite
 from typing import Iterable, NamedTuple, Sequence
 
 from .catalog import CatalogEntry
-from .phasepoly import PX, PY, DomainError, PhasePoly, compile_all
+from .phasepoly import PX, PY, DomainError, PhasePoly, compile_all, sample_all
 
 INTEGRATORS = ("leapfrog2", "composed4")
 
@@ -109,13 +110,22 @@ class SimConfig(_SimFields):
 
 
 class Trajectory:
-    """The sample times and points of one run; len() counts the samples."""
+    """The samples of one run and the invariants tracked along it.
 
-    __slots__ = ("times", "points")
+    times and points hold the samples, and len() counts them.  invariants
+    holds the names of the tracked entries; values holds, for each, a
+    read-only column of its value at every sample, and max_deviations its
+    largest |I - I0| over the samples.
+    """
 
-    def __init__(self, times: tuple[float, ...], points: tuple[PhasePoint, ...]):
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "points", points)
+    __slots__ = ("times", "points", "invariants", "values", "max_deviations")
+
+    def __init__(self, times: tuple[float, ...], points: tuple[PhasePoint, ...],
+                 invariants: tuple[str, ...], values: tuple[Sequence[float], ...],
+                 max_deviations: tuple[float, ...]):
+        for name, value in zip(self.__slots__,
+                               (times, points, invariants, values, max_deviations)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -150,16 +160,25 @@ def _potential_poly(entry: CatalogEntry) -> PhasePoly:
     return expr
 
 
-def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig) -> Trajectory:
-    """Kick-drift-kick trajectory of H = (1/2)|p|^2 + V, sampled every step.
+def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,
+              invariants: Iterable[CatalogEntry] = ()) -> Trajectory:
+    """Kick-drift-kick trajectory of H = (1/2)|p|^2 + V, sampled every step,
+    with each invariant evaluated at every sample at cfg's k1, k2, k3.
 
     leapfrog2 is the plain KDK splitting; composed4 chains three KDK
     substeps with weights (_C1, _C2, _C1), the middle one backward.
     Aborts with TrajectoryAborted if y drops to y_min at any substep.
+    The invariants are evaluated only once every step has been taken, so a
+    y-guard abort, a non-finite state or a force overflow is raised before
+    any error of theirs.
     """
     if start.y <= cfg.y_min:
         raise ValueError(f"start.y = {start.y} must exceed y_min = {cfg.y_min}")
     V = _potential_poly(potential)
+    entries = tuple(invariants)
+    for entry in entries:
+        if not isinstance(entry.expression, PhasePoly):
+            raise ValueError(f"{entry.name} is not evaluable on phase points")
     force = compile_all((-V.diff("x"), -V.diff("y")), cfg.k1, cfg.k2, cfg.k3)
 
     h, y_min = cfg.h, cfg.y_min
@@ -192,26 +211,17 @@ def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig) -> Tra
             points.append(tuple_new(PhasePoint, (x, y, px, py)))
         else:
             PhasePoint(x, y, px, py)  # raises the DomainError naming the state
-    return Trajectory(tuple(times), tuple(points))
+    columns, max_deviations = sample_all([e.expression for e in entries], points,
+                                         cfg.k1, cfg.k2, cfg.k3)
+    return Trajectory(tuple(times), tuple(points), tuple(e.name for e in entries),
+                      tuple(memoryview(c).toreadonly() for c in columns), max_deviations)
 
 
-def drift_report(traj: Trajectory, invariants: Iterable[CatalogEntry], *,
-                 k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> DriftReport:
-    """Normalized max deviation of each invariant along the trajectory."""
-    entries = list(invariants)
-    for entry in entries:
-        if not isinstance(entry.expression, PhasePoly):
-            raise ValueError(f"{entry.name} is not evaluable on phase points")
-    evaluate = compile_all([e.expression for e in entries], k1, k2, k3)
-    initials = evaluate(*traj.points[0])
-    worst = [0.0] * len(entries)
-    for p in traj.points:
-        for i, value in enumerate(evaluate(*p)):
-            dev = abs(value - initials[i])
-            if dev > worst[i]:
-                worst[i] = dev
-    drifts = [InvariantDrift(e.name, initial, w / max(abs(initial), 1.0))
-              for e, initial, w in zip(entries, initials, worst)]
+def drift_report(traj: Trajectory) -> DriftReport:
+    """Normalized max deviation of each invariant the trajectory tracked."""
+    drifts = [InvariantDrift(name, column[0], worst / max(abs(column[0]), 1.0))
+              for name, column, worst in zip(traj.invariants, traj.values,
+                                             traj.max_deviations)]
     return DriftReport(tuple(drifts), len(traj))
 
 
@@ -231,9 +241,8 @@ def convergence_order(potential: CatalogEntry, start: PhasePoint,
             raise ValueError("each step size must halve the previous one")
     log_h, log_d = [], []
     for h in h_list:
-        traj = integrate(potential, start, cfg._replace(h=h))
-        report = drift_report(traj, [invariant], k1=cfg.k1, k2=cfg.k2, k3=cfg.k3)
-        drift = report.invariants[0].drift
+        traj = integrate(potential, start, cfg._replace(h=h), [invariant])
+        drift = drift_report(traj).invariants[0].drift
         if drift > 0.0:
             log_h.append(math.log(h))
             log_d.append(math.log(drift))
@@ -244,12 +253,12 @@ def convergence_order(potential: CatalogEntry, start: PhasePoint,
     return linear_regression(log_h, log_d).slope
 
 
-def format_trajectory(traj: Trajectory, invariants: Sequence[CatalogEntry] = (), *,
-                      k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> str:
-    """Tab-separated table, one row per sample, repr-precision floats."""
-    evaluate = compile_all([e.expression for e in invariants], k1, k2, k3)
-    lines = ["\t".join(["t", "x", "y", "px", "py", *(e.name for e in invariants)])]
-    lines += ["\t".join(map(repr, (t, *p, *evaluate(*p))))
-              for t, p in zip(traj.times, traj.points)]
+def format_trajectory(traj: Trajectory) -> str:
+    """Tab-separated table, one row per sample, repr-precision floats: the
+    time, the point and each tracked invariant's value."""
+    columns = (traj.times, *zip(*traj.points), *traj.values)
+    lines = ["\t".join(["t", "x", "y", "px", "py", *traj.invariants])]
+    # repr each column in one map, then join the row; repr is most of the cost
+    lines += map("\t".join, zip(*(map(repr, column) for column in columns)))
     lines.append("")  # the closing newline, without a second copy of the table
     return "\n".join(lines)

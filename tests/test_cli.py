@@ -120,6 +120,10 @@ def main_within(seconds, argv):
     ("k2^99999999*x + k2*x - 5*k2^2*x", ["--k2", "3"]),  # the top power outweighs the rest
     ("k1^99999999*k2^5*x + 7*px", ["--k1", "6/5", "--k2", "1/2"]),
     ("k2^20000*x", ["--k2", "3"]),
+    # past the bit budget, though the two terms cancel to 0
+    ("k2^99999999*x - k3^99999999*x", ["--k2", "3", "--k3", "3"]),
+    # a value near 1 whose numerator and denominator have 600 million digits
+    ("k2^100000000*x", ["--k2", "1000001/1000000"]),
 ])
 def test_bracket_refuses_a_power_too_long_to_print_before_computing_it(capsys, first, values):
     # substituting first would compute 3^99999999 (47.7 million digits)
@@ -416,11 +420,18 @@ EXIT_3_RUNS = [
     (("--start", "0,1,0.5,0.5", "--k2", "1", "--t-end", "10"),
      "trajectory aborted: y = -0.006818968571579523 fell to or below the "
      "guard 1e-06 at t = 5.87\n"),
+    # an invariant, not the force, overflows at the first sample
+    (("--start", "0,1,1e52,0", "--t-end", "0.01"),
+     "domain error: evaluation overflows at (x, y, px, py) = (0.0, 1.0, 1e+52, 0.0)\n"),
+    # the y guard aborts the steps before that invariant overflow is reached
+    (("--start", "0,1e-5,1e52,-1", "--t-end", "0.01"),
+     "trajectory aborted: y = -0.00099 fell to or below the guard 1e-06 at t = 0.001\n"),
 ]
 
 
 @pytest.mark.parametrize("extra, stderr", EXIT_3_RUNS,
-                         ids=["state-blow-up", "force-overflow", "y-guard"])
+                         ids=["state-blow-up", "force-overflow", "y-guard",
+                              "invariant-overflow", "y-guard-before-invariant-overflow"])
 def test_simulate_exit_3_stderr_is_pinned(tmp_path, capsys, extra, stderr):
     out_path = tmp_path / "t.tsv"
     code, out, err = run(capsys, "simulate", "--potential", "U", *extra,

@@ -12,6 +12,7 @@ import pytest
 
 from holtkit import catalog
 from holtkit.dynamics import (
+    InvariantDrift,
     PhasePoint,
     SimConfig,
     TrajectoryAborted,
@@ -117,9 +118,9 @@ def test_time_reversibility_both_integrators():
 
 def test_baseline_run_completes_with_bounded_drift():
     cfg = SimConfig(h=1e-3, t_end=5.5, k2=1.0)
-    traj = integrate(U, START, cfg)
     invs = [catalog.build(n) for n in ("H_U", "K2_3", "K3_4", "K4_6")]
-    report = drift_report(traj, invs, k2=1.0)
+    traj = integrate(U, START, cfg, invs)
+    report = drift_report(traj)
     assert report.samples == len(traj) == 5501
     for d in report.invariants:
         assert 0.0 < d.drift < 1e-4, d.name
@@ -155,8 +156,8 @@ def test_forces_match_the_dynamical_field():
 def test_constant_invariant_has_zero_drift():
     one = catalog.CatalogEntry("one", "integral", PhasePoly.constant(1), 0, "unit test")
     cfg = SimConfig(h=1e-2, t_end=1.0, k2=1.0)
-    traj = integrate(U, START, cfg)
-    report = drift_report(traj, [one], k2=1.0)
+    traj = integrate(U, START, cfg, [one])
+    report = drift_report(traj)
     assert report.invariants[0].drift == 0.0
 
 
@@ -193,8 +194,8 @@ def test_integral_entry_rejected_by_integrator():
 
 def test_trajectory_table_round_trips():
     cfg = SimConfig(h=0.25, t_end=0.5, k2=1.0, k3=0.5)
-    traj = integrate(U, START, cfg)
-    table = format_trajectory(traj, [catalog.build("H_U")], k2=1.0, k3=0.5)
+    traj = integrate(U, START, cfg, [catalog.build("H_U")])
+    table = format_trajectory(traj)
     lines = table.strip().split("\n")
     assert lines[0].split("\t") == ["t", "x", "y", "px", "py", "H_U"]
     assert len(lines) == 1 + len(traj)
@@ -209,3 +210,44 @@ def test_trajectory_table_round_trips():
 def test_domain_error_type_hierarchy():
     assert issubclass(TrajectoryAborted, DomainError)
     assert issubclass(DomainError, ValueError)
+
+
+# the settings of the golden simulate runs in tests/test_cli.py
+GOLDEN_SETTINGS = [
+    ("V_h3_k", PhasePoint(0.5, 1.0, 0.5, 6.0), dict(k1=0.5, k2=0.25, k3=0.125)),
+    ("U", START, dict(k2=1.0)),
+]
+
+
+@pytest.mark.parametrize("integrator", ["leapfrog2", "composed4"])
+@pytest.mark.parametrize("name, start, k", GOLDEN_SETTINGS, ids=["V_h3_k", "U"])
+def test_sampled_invariants_are_the_evaluate_loop_values(name, start, k, integrator):
+    cfg = SimConfig(h=0.01, t_end=1.0, integrator=integrator, **k)
+    entries = [catalog.build(n) for n in catalog.invariants(name)]
+    traj = integrate(catalog.build(name), start, cfg, entries)
+    assert traj.invariants == tuple(e.name for e in entries)
+    reference = [[e.expression.evaluate(*p, **k) for p in traj.points] for e in entries]
+    assert [list(map(repr, column)) for column in traj.values] == \
+        [list(map(repr, column)) for column in reference]
+    drifts = []
+    for e, column in zip(entries, reference):
+        worst = 0.0
+        for value in column:
+            dev = abs(value - column[0])
+            if dev > worst:
+                worst = dev
+        drifts.append(InvariantDrift(e.name, column[0], worst / max(abs(column[0]), 1.0)))
+    report = drift_report(traj)
+    assert report.samples == len(traj) == 101
+    assert repr(report.invariants) == repr(tuple(drifts))
+
+
+def test_a_trajectory_keeps_its_sampled_values_read_only():
+    traj = integrate(U, START, SimConfig(h=0.25, t_end=0.5, k2=1.0), [catalog.build("H_U")])
+    with pytest.raises(TypeError):
+        traj.values[0][0] = 0.0
+
+
+def test_a_vector_field_cannot_be_tracked():
+    with pytest.raises(ValueError, match="Gamma_H is not evaluable on phase points"):
+        integrate(U, START, SimConfig(h=0.25, t_end=0.5), [catalog.build("Gamma_H")])

@@ -20,6 +20,7 @@ from holtkit.phasepoly import (
     compile_all,
     hamiltonian_vf,
     poisson_bracket,
+    sample_all,
     upow,
     vf_commutator,
 )
@@ -235,6 +236,43 @@ def test_fused_evaluator_matches_each_evaluate_loop(p, q, r, x, y, px, py, k1, k
     fused = _outcome(lambda: compile_all([p, q, r], k1, k2, k3)(*point))
     reference = _outcome(lambda: _each_evaluated([p, q, r], point, k1, k2, k3))
     assert fused == reference
+
+
+def _sampled_point_by_point(polys, points, k1, k2, k3):
+    """The fused evaluator's value columns over the points, and each
+    column's largest deviation from its first value, by plain loops."""
+    evaluate = compile_all(polys, k1, k2, k3)
+    columns = [list(column) for column in zip(*[evaluate(*p) for p in points])]
+    worst = []
+    for column in columns:
+        w = 0.0
+        for value in column:
+            dev = abs(value - column[0])
+            if dev > w:
+                w = dev
+        worst.append(w)
+    return columns, tuple(worst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(parametric_polys, max_size=3),
+       st.lists(st.tuples(coordinates, heights, coordinates, coordinates), min_size=1, max_size=4),
+       coordinates, coordinates, coordinates)
+def test_sampling_pass_matches_the_fused_evaluator_point_by_point(polys, points, k1, k2, k3):
+    def sampled():
+        columns, worst = sample_all(polys, points, k1, k2, k3)
+        return [list(column) for column in columns], worst
+
+    reference = _outcome(lambda: _sampled_point_by_point(polys, points, k1, k2, k3))
+    assert _outcome(sampled) == reference
+
+
+def test_sampling_pass_never_takes_a_nan_deviation_for_the_largest():
+    points = [(1.0, 1.0, 0.0, 0.0), (3.0, 1.0, 0.0, 0.0), (float("nan"), 1.0, 0.0, 0.0)]
+    columns, worst = sample_all([X], points)
+    assert repr(columns[0].tolist()) == "[1.0, 3.0, nan]" and worst == (2.0,)
+    # every deviation from a nan first value is nan
+    assert sample_all([X], points[::-1])[1] == (0.0,)
 
 
 def test_fused_evaluator_of_no_polynomials_is_the_empty_tuple():
