@@ -117,18 +117,15 @@ def _entry(name: str, parser: argparse.ArgumentParser) -> catalog.CatalogEntry:
 
 
 def _resolve_expression(text: str, parser: argparse.ArgumentParser) -> PhasePoly:
-    try:
-        entry = catalog.build(text)
-    except KeyError:
-        pass
-    else:
-        if not isinstance(entry.expression, PhasePoly):
+    if text in catalog.names():
+        expr = catalog.build(text).expression
+        if not isinstance(expr, PhasePoly):
             parser.error(f"{text} is a vector field, not a scalar expression")
-        return entry.expression
+        return expr
     try:
         return parse_expression(text)
     except ParseError as exc:
-        parser.error(f"cannot parse {_quoted(text)}: {exc}")
+        parser.error(f"cannot parse {text!r}: {exc}")
 
 
 def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
@@ -169,9 +166,9 @@ def _run_bracket(args, parser) -> int:
                     raise ValueError
                 subs[k] = Fraction(raw)
             except (ValueError, ZeroDivisionError):
-                parser.error(f"--{k} must be an integer or p/q, got {_quoted(raw)}")
-    at = ", ".join(f"--{k} {_quoted(getattr(args, k))}" for k in subs)
-    too_long = (f"the bracket of {_quoted(args.first)} and {_quoted(args.second)}"
+                parser.error(f"--{k} must be an integer or p/q, got {raw!r}")
+    at = ", ".join(f"--{k} {getattr(args, k)!r}" for k in subs)
+    too_long = (f"the bracket of {args.first!r} and {args.second!r}"
                 f"{' at ' + at if at else ''} has a coefficient too long to print")
     if subs:
         # substitute_params computes every power in full.  A term costs, per
@@ -215,12 +212,12 @@ def _run_simulate(args, parser) -> int:
             coordinates.append(float(piece))
         except ValueError:
             # float()'s own message, with the piece cut like the whole value
-            parser.error(f"bad --start value {_quoted(args.start)}: "
+            parser.error(f"bad --start value {args.start!r}: "
                          f"could not convert string to float: {_quoted(piece)}")
     try:
         start = PhasePoint(*coordinates)
     except ValueError as exc:
-        parser.error(f"bad --start value {_quoted(args.start)}: {exc}")
+        parser.error(f"bad --start value {args.start!r}: {exc}")
     try:
         cfg = SimConfig(h=args.h, t_end=args.t_end, integrator=args.integrator,
                         y_min=args.y_min, k1=args.k1, k2=args.k2, k3=args.k3)

@@ -11,16 +11,13 @@ needs clean order estimates.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import isfinite
 from typing import Iterable, NamedTuple, Sequence
 
-from .catalog import CatalogEntry
-from .phasepoly import PX, PY, DomainError, PhasePoly, compile_all, sample_all
+from .catalog import KINETIC, CatalogEntry
+from .phasepoly import DomainError, PhasePoly, compile_all, sample_all
 
 INTEGRATORS = ("leapfrog2", "composed4")
-
-_KINETIC = Fraction(1, 2) * (PX**2 + PY**2)
 
 # triple-composition coefficients turning a second-order step into fourth order
 _C1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -154,7 +151,7 @@ def _potential_poly(entry: CatalogEntry) -> PhasePoly:
     if not isinstance(expr, PhasePoly):
         raise ValueError(f"{entry.name} is not a scalar phase-space expression")
     if entry.kind == "hamiltonian":
-        expr = expr - _KINETIC
+        expr = expr - KINETIC
     if expr.momentum_order != 0:
         raise ValueError(f"{entry.name} is not momentum-free; pass a potential")
     return expr

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from holtkit import catalog
+from holtkit import catalog, ring
+from holtkit.parsing import parse_expression
 from holtkit.phasepoly import K2, PhasePoly, VectorField, X, hamiltonian_vf, poisson_bracket
 
 
@@ -43,6 +44,25 @@ def test_entries_are_fresh_per_build():
     b = catalog.build("K2_3").expression
     assert a == b
     assert a is not b
+
+
+def test_building_every_entry_takes_no_kernel_product(monkeypatch):
+    calls = []
+    for layout in ("tuple", "packed"):
+        monkeypatch.setattr(ring, f"_{layout}_products",
+                            lambda *args, layout=layout: calls.append(layout))
+    entries = [catalog.build(name) for name in catalog.names()]
+    assert len(entries) == 27 and calls == []
+
+
+def test_each_transcription_is_stored_as_it_renders():
+    texts = [text for text, *_ in (*catalog._POTENTIALS.values(), *catalog._INTEGRALS.values())]
+    texts += [text for spec, _ in catalog._FIELDS.values() if not isinstance(spec, str)
+              for text in spec]
+    assert len(texts) == 7 + 9 + 4
+    for text in texts:
+        assert parse_expression(text).render() == text
+    assert catalog.KINETIC.render() == "1/2*px^2 + 1/2*py^2"
 
 
 def test_derived_entries_read_their_source_through_get():

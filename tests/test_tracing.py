@@ -45,14 +45,17 @@ def test_a_tracer_installs_and_removes_cleanly(tracing):
         for owner, attr, _, _ in tracing.TARGETS:
             assert getattr(owner, attr) is not before[(owner, attr)], (owner, attr)
         assert verify.poisson_bracket is phasepoly.poisson_bracket  # every holder is wrapped
-        check = verify.check_conserved(catalog.build("K2_3").expression,
-                                       catalog.build("H_U").expression)
+        K = catalog.build("K2_3").expression
+        check = verify.check_conserved(K, catalog.build("H_U").expression)
+        square = K * K
     finally:
         tracer.remove()
-    assert check.passed
+    assert check.passed and square == K**2
     metrics = tracer.layer_metrics()
     assert metrics["verify.check_calls"] == 1 and metrics["phasepoly.bracket_calls"] == 1
-    # H_U is built from U, so three builds
-    assert metrics["catalog.build_calls"] == 3 and metrics["phasepoly.mul_calls"] > 0
+    # H_U is built from U, so three builds; K2_3 and U are parsed from their
+    # text, and the kinetic term of H_U was parsed once at import
+    assert metrics["catalog.build_calls"] == 3 and metrics["parsing.parse_calls"] == 2
+    assert metrics["phasepoly.mul_calls"] == 1
     after = traced_attributes(tracing.TARGETS)
     assert [key for key in before if after[key] is not before[key]] == []
