@@ -3,7 +3,6 @@
 # first, so that every submodule can import it while the package loads
 __version__ = "0.1.0"
 
-from .ring import Rational
 from .phasepoly import (
     K1,
     K2,
@@ -28,7 +27,6 @@ __all__ = [
     "K1",
     "K2",
     "K3",
-    "Rational",
     "DomainError",
     "PhasePoly",
     "Term",

@@ -11,7 +11,9 @@ needs clean order estimates.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from math import isfinite
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .catalog import KINETIC, CatalogEntry
@@ -90,6 +92,9 @@ class SimConfig(_SimFields):
             raise ValueError("t_end must be positive")
         if self.h > self.t_end:
             raise ValueError("step h must not exceed t_end")
+        if not math.isfinite(self.t_end / self.h):
+            raise ValueError(f"t_end = {self.t_end!r} holds too many steps of "
+                             f"h = {self.h!r} to count")
         steps = round(self.t_end / self.h)
         if abs(steps * self.h - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end = {self.t_end!r} is not a whole number of "
@@ -111,17 +116,14 @@ class Trajectory:
 
     times and points hold the samples, and len() counts them.  invariants
     holds the names of the tracked entries; values holds, for each, a
-    read-only column of its value at every sample, and max_deviations its
-    largest |I - I0| over the samples.
+    read-only column of its value at every sample.
     """
 
-    __slots__ = ("times", "points", "invariants", "values", "max_deviations")
+    __slots__ = ("times", "points", "invariants", "values")
 
     def __init__(self, times: tuple[float, ...], points: tuple[PhasePoint, ...],
-                 invariants: tuple[str, ...], values: tuple[Sequence[float], ...],
-                 max_deviations: tuple[float, ...]):
-        for name, value in zip(self.__slots__,
-                               (times, points, invariants, values, max_deviations)):
+                 invariants: tuple[str, ...], values: tuple[Sequence[float], ...]):
+        for name, value in zip(self.__slots__, (times, points, invariants, values)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -208,17 +210,22 @@ def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,
             points.append(tuple_new(PhasePoint, (x, y, px, py)))
         else:
             PhasePoint(x, y, px, py)  # raises the DomainError naming the state
-    columns, max_deviations = sample_all([e.expression for e in entries], points,
-                                         cfg.k1, cfg.k2, cfg.k3)
+    columns = sample_all([e.expression for e in entries], points, cfg.k1, cfg.k2, cfg.k3)
     return Trajectory(tuple(times), tuple(points), tuple(e.name for e in entries),
-                      tuple(memoryview(c).toreadonly() for c in columns), max_deviations)
+                      tuple(memoryview(c).toreadonly() for c in columns))
 
 
 def drift_report(traj: Trajectory) -> DriftReport:
-    """Normalized max deviation of each invariant the trajectory tracked."""
-    drifts = [InvariantDrift(name, column[0], worst / max(abs(column[0]), 1.0))
-              for name, column, worst in zip(traj.invariants, traj.values,
-                                             traj.max_deviations)]
+    """Normalized max deviation of each invariant the trajectory tracked.
+
+    The largest |I - I0| starts at 0.0 and takes a deviation only when it is
+    larger, so a nan deviation never wins, and a column whose first value is
+    nan reads 0.0.
+    """
+    drifts = []
+    for name, column in zip(traj.invariants, traj.values):
+        worst = max(chain((0.0,), map(abs, map(sub, column, repeat(column[0])))))
+        drifts.append(InvariantDrift(name, column[0], worst / max(abs(column[0]), 1.0)))
     return DriftReport(tuple(drifts), len(traj))
 
 

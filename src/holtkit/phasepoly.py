@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .ring import Scalar, Scaled, SparsePoly, _frac, _scaled, accumulate, substitute_terms
+from .ring import Scalar, Scaled, _scaled, accumulate, sum_of_products
 
 
 class DomainError(ValueError):
@@ -74,6 +74,14 @@ def _term(exponents: tuple) -> Term:
     return tuple.__new__(Term, exponents)
 
 
+def _frac(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
 def _partial(operand: Scaled, var: str) -> Scaled:
     """The partial derivative along x, u, px, py, or y of scaled terms
     (see ring._scaled), scaled the same way: a term's exponent e in var's
@@ -88,14 +96,14 @@ def _partial(operand: Scaled, var: str) -> Scaled:
                          for k, n in terms if k[i]]
 
 
-class PhasePoly(SparsePoly):
+class PhasePoly:
     """Sparse sum of Terms with nonzero Fraction coefficients.
 
     Immutable; the zero polynomial is the empty mapping and equality is
     term-set equality.
     """
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
         """Keys are Terms, or tuples of their first 4 or all 7 exponents."""
@@ -108,8 +116,11 @@ class PhasePoly(SparsePoly):
         self.terms = accumulate({}, ((Term(*k), _frac(c)) for k, c in terms.items()))
 
     @classmethod
-    def _rekey(cls, terms: dict) -> "PhasePoly":
-        return cls._wrap({_term(k): c for k, c in terms.items()})
+    def _wrap(cls, terms: dict) -> "PhasePoly":
+        """Trusted constructor: keys are Terms, every value a nonzero Fraction."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls) -> "PhasePoly":
@@ -129,12 +140,76 @@ class PhasePoly(SparsePoly):
         """Highest total momentum degree over all terms (0 for the zero poly)."""
         return max((t.epx + t.epy for t in self.terms), default=0)
 
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
     def _coerce(self, other) -> "PhasePoly | None":
         if isinstance(other, PhasePoly):
             return other
         if isinstance(other, (int, Fraction)):
             return PhasePoly.constant(other)
         return None
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
+
+    __hash__ = None  # mutable mapping inside; identity by term set only
+
+    def __add__(self, other) -> "PhasePoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._wrap(accumulate(dict(self.terms), o.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "PhasePoly":
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other) -> "PhasePoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._wrap(accumulate(dict(self.terms),
+                                     ((k, -c) for k, c in o.terms.items())))
+
+    def __rsub__(self, other) -> "PhasePoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other) -> "PhasePoly":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._sum_of_products([(1, _scaled(self.terms), _scaled(o.terms))])
+
+    __rmul__ = __mul__
+
+    @classmethod
+    def _sum_of_products(cls, triples) -> "PhasePoly":
+        """ring.sum_of_products of (sign, a, b) triples of scaled terms, with
+        one Fraction per surviving term."""
+        den, sums = sum_of_products(triples)
+        return cls._wrap({_term(k): Fraction(n, den) for k, n in sums.items() if n})
+
+    def __pow__(self, exponent: int) -> "PhasePoly":
+        """Repeated squaring; x**0 is the constant 1."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result, base = None, self
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return self._coerce(1) if result is None else result
 
     def diff(self, var: str) -> "PhasePoly":
         """Partial derivative along x, u, px, py, or y.
@@ -153,7 +228,18 @@ class PhasePoly(SparsePoly):
     def substitute_params(self, k1: Scalar | None = None, k2: Scalar | None = None,
                           k3: Scalar | None = None) -> "PhasePoly":
         """Exact parameter specialization; None leaves a parameter symbolic."""
-        return self._rekey(substitute_terms(self.terms, 4, (k1, k2, k3)))
+        subs = [(i, _frac(v)) for i, v in enumerate((k1, k2, k3), _PARAM_SLOT)
+                if v is not None]
+
+        def substituted():
+            for key, coeff in self.terms.items():
+                key = list(key)
+                for i, v in subs:
+                    coeff *= v ** key[i]
+                    key[i] = 0
+                yield _term(key), coeff
+
+        return self._wrap(accumulate({}, substituted()))
 
     def _fold(self, k1: float, k2: float, k3: float) -> FloatTerms:
         """The float terms at fixed parameters, sorted by monomial.
@@ -224,6 +310,12 @@ class PhasePoly(SparsePoly):
                 factors.insert(0, str(abs(n)))
             text += f" {'-' if n < 0 else '+'} {'*'.join(factors)}"
         return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()!r})"
 
 
 def _nonpositive_y(y) -> DomainError:
@@ -318,15 +410,13 @@ def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
 
 
 def sample_all(polys: Sequence[PhasePoly], points, k1: float = 0.0, k2: float = 0.0,
-               k3: float = 0.0) -> tuple[tuple, tuple[float, ...]]:
+               k3: float = 0.0) -> tuple:
     """Every polynomial's value at every point, in one generated pass.
 
     Returns one array('d') column per polynomial, holding what compile_all's
-    function gives at each point in turn, and the largest |value - value at
-    the first point| of each column.  A NaN deviation never becomes the
-    largest, so a column whose first value is nan reads 0.0.  The first
-    point outside the domain raises compile_all's DomainError, with the
-    columns left unfinished.
+    function gives at each point in turn.  The first point outside the
+    domain raises compile_all's DomainError, with the columns left
+    unfinished.
     """
     # imported here: only this pass uses it, and an import at the top would
     # cost every start-up
@@ -334,24 +424,15 @@ def sample_all(polys: Sequence[PhasePoly], points, k1: float = 0.0, k2: float = 
 
     columns = tuple(array("d") for _ in polys)
     if not polys:
-        return columns, ()
+        return columns
     body, namespace = _emit([p._fold(k1, k2, k3) for p in polys])
     n = range(len(polys))
     lines = [f"def sample(points, {', '.join(f'append{i}' for i in n)}):",
-             *(f"    w{i} = 0.0" for i in n),
-             "    first = True",
              "    for x, y, px, py in points:",
              *(f"        {line}" for line in body),
-             "        if first:",
-             "            first = False",
-             *(f"            i{i} = s{i}" for i in n),
-             *(line for i in n for line in (f"        append{i}(s{i})",
-                                            f"        d = abs(s{i} - i{i})",
-                                            f"        if d > w{i}:",
-                                            f"            w{i} = d")),
-             f"    return ({''.join(f'w{i}, ' for i in n)})"]
-    sample = _define(lines, namespace, "sample")
-    return columns, sample(points, *(column.append for column in columns))
+             *(f"        append{i}(s{i})" for i in n)]
+    _define(lines, namespace, "sample")(points, *(column.append for column in columns))
+    return columns
 
 
 # generators for building expressions algebraically
@@ -406,20 +487,11 @@ class VectorField(NamedTuple):
             (1, _scaled(c.terms), _partial(f, var))
             for c, var in zip(self.components(), ("x", "y", "px", "py")))
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(self.cx + other.cx, self.cy + other.cy,
-                           self.cpx + other.cpx, self.cpy + other.cpy)
-
     def __sub__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):
             return NotImplemented
         return VectorField(self.cx - other.cx, self.cy - other.cy,
                            self.cpx - other.cpx, self.cpy - other.cpy)
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(-self.cx, -self.cy, -self.cpx, -self.cpy)
 
     def __mul__(self, scalar) -> "VectorField":
         if not isinstance(scalar, (PhasePoly, int, Fraction)):

@@ -1,24 +1,23 @@
-"""Exact coefficient ring: rationals and the sparse-polynomial kernel.
+"""The exact integer kernel of phasepoly.PhasePoly's arithmetic.
 
 Coefficients are arbitrary-precision rationals throughout; high-order
 bracket expansions overflow 64-bit integers, so fixed-width arithmetic is
 never used.
 
-SparsePoly is the arithmetic of phasepoly.PhasePoly: a dict from an
-exponent tuple to a nonzero Fraction (the layout of SymPy's PolyElement).
-Sums go through one accumulate helper.  Every product goes through one
-sum-of-products kernel, SparsePoly._sum_of_products: a plain product is
-one (sign, a, b) triple, a Poisson bracket or a vector field applied to a
-polynomial is four.  The kernel multiplies integer numerators: its caller
-scales every operand once to integer numerators over a denominator
-(_scaled), and phasepoly takes derivatives on those integers.  The kernel
-accumulates all pairs of all products into one integer dict over one
-common denominator, and makes one Fraction per surviving term at the end.
-Small products (at most _PACK_RATIO pairs per operand term, such as a
-monomial times a polynomial) add exponent tuples; larger ones add
-exponents packed into one integer per term (Kronecker substitution), with
-a slot width taken from the operands' exponent range so that every result
-decodes exactly.
+A polynomial is a dict from an exponent tuple to a nonzero Fraction (the
+layout of SymPy's PolyElement).  Sums go through one accumulate helper.
+Every product goes through one sum-of-products kernel, sum_of_products: a
+plain product is one (sign, a, b) triple, a Poisson bracket or a vector
+field applied to a polynomial is four.  The kernel multiplies integer
+numerators: its caller scales every operand once to integer numerators
+over a denominator (_scaled), and phasepoly takes derivatives on those
+integers.  The kernel accumulates all pairs of all products into one
+integer dict over one common denominator, which the caller turns into one
+Fraction per surviving term.  Small products (at most _PACK_RATIO pairs
+per operand term, such as a monomial times a polynomial) add exponent
+tuples; larger ones add exponents packed into one integer per term
+(Kronecker substitution), with a slot width taken from the operands'
+exponent range so that every result decodes exactly.
 """
 
 from __future__ import annotations
@@ -29,19 +28,7 @@ from math import lcm
 from operator import add, mul
 from typing import Hashable, Iterable, Mapping, Union
 
-# fractions.Fraction already guarantees lowest terms, positive denominator,
-# and 0/1 for zero, which is exactly the coefficient contract we need.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
-
-
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def accumulate(out: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
@@ -56,26 +43,6 @@ def accumulate(out: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
         elif coeff:
             out[key] = coeff
     return out
-
-
-def substitute_terms(terms: Mapping[tuple, Fraction], first: int,
-                     values: tuple[Scalar | None, ...]) -> dict[tuple, Fraction]:
-    """Put exact values into the exponent slots first, first + 1, ... of every key.
-
-    A None value leaves its slot symbolic; a substituted slot becomes 0.
-    Keys of the result are plain tuples.
-    """
-    subs = [(first + i, _frac(v)) for i, v in enumerate(values) if v is not None]
-
-    def substituted():
-        for key, coeff in terms.items():
-            key = list(key)
-            for i, v in subs:
-                coeff *= v ** key[i]
-                key[i] = 0
-            yield tuple(key), coeff
-
-    return accumulate({}, substituted())
 
 
 # one operand of the kernel: (d, [(key, n)]), the terms n / d with integer n
@@ -149,111 +116,30 @@ def _packed_products(scaled: Products, den: int) -> dict[tuple, int]:
     return dict(zip(zip(*slots), [sums[k] for k in keys]))
 
 
-class SparsePoly:
-    """Immutable sparse polynomial: `terms` maps exponent tuples to nonzero Fractions.
+def sum_of_products(triples: Iterable[tuple[int, Scaled, Scaled]]
+                    ) -> tuple[int, dict[tuple, int]]:
+    """The sum of sign * a * b over (sign, a, b) triples, exactly, as
+    (den, {exponent tuple: integer numerator over den}).
 
-    The zero polynomial is the empty mapping and equality is term-set
-    equality.  Subclasses define _coerce (which operands they accept) and
-    render, and override _rekey when their keys are not plain tuples.
+    Each operand comes scaled (see _scaled) to integer numerators over a
+    denominator, and every pair of every product accumulates into one
+    integer dict over one common denominator.  A term that cancels reads 0
+    or is left out.  Exponents are added as packed integer keys when the
+    products have more than _PACK_RATIO pairs per operand term, as tuples
+    otherwise.
     """
-
-    __slots__ = ("terms",)
-
-    @classmethod
-    def _wrap(cls, terms: dict):
-        """Trusted constructor: keys valid, every value a nonzero Fraction."""
-        poly = object.__new__(cls)
-        poly.terms = terms
-        return poly
-
-    @classmethod
-    def _rekey(cls, terms: dict):
-        return cls._wrap(terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    __hash__ = None  # mutable mapping inside; identity by term set only
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(accumulate(dict(self.terms), o.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._wrap(accumulate(dict(self.terms),
-                                     ((k, -c) for k, c in o.terms.items())))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._sum_of_products([(1, _scaled(self.terms), _scaled(o.terms))])
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def _sum_of_products(cls, triples: Iterable[tuple[int, Scaled, Scaled]]):
-        """The sum of sign * a * b over (sign, a, b) triples, exactly.
-
-        Each operand comes scaled (see _scaled) to integer numerators over a
-        denominator, every pair of every product accumulates into one integer
-        dict over one common denominator, and each surviving term becomes a
-        Fraction once, at the end.  Exponents are added as packed integer
-        keys when the products have more than _PACK_RATIO pairs per operand
-        term, as tuples otherwise.
-        """
-        scaled, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
-        for sign, (da, left), (db, right) in triples:
-            if left and right:
-                scaled.append((sign, da * db, left, right))
-                den = lcm(den, da * db)
-                excess += len(left) * len(right) - _PACK_RATIO * (len(left) + len(right))
-        sums = (_packed_products if excess > 0 else _tuple_products)(scaled, den)
-        return cls._rekey({k: Fraction(n, den) for k, n in sums.items() if n})
-
-    def __pow__(self, exponent: int):
-        """Repeated squaring; x**0 is the constant 1."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result, base = None, self
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return self._coerce(1) if result is None else result
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.render()!r})"
+    scaled, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
+    for sign, (da, left), (db, right) in triples:
+        if left and right:
+            scaled.append((sign, da * db, left, right))
+            den = lcm(den, da * db)
+            excess += len(left) * len(right) - _PACK_RATIO * (len(left) + len(right))
+    return den, (_packed_products if excess > 0 else _tuple_products)(scaled, den)
 
 
 # read only by the TARGETS of bench/tracing.py; ROADMAP item 3 retires it
-class ParamPoly(SparsePoly):
-    pass
+class ParamPoly:
+    def __mul__(self, other):
+        return NotImplemented
+
+    __rmul__ = __add__ = __radd__ = __mul__

@@ -55,6 +55,12 @@ def test_simconfig_requires_whole_number_of_steps():
         assert SimConfig(h=h, t_end=t_end).t_end == t_end
 
 
+@pytest.mark.parametrize("h, t_end", [(5e-324, 1.0), (1e-308, 1e308)])
+def test_simconfig_rejects_a_step_count_too_large_to_count(h, t_end):
+    with pytest.raises(ValueError, match="too many steps"):
+        SimConfig(h=h, t_end=t_end)
+
+
 @pytest.mark.parametrize("coords", [(float("nan"), 1.0, 0.0, 0.0),
                                     (0.0, float("inf"), 0.0, 0.0),
                                     (0.0, 1.0, float("-inf"), float("nan"))])

@@ -9,6 +9,7 @@ from operator import neg
 
 from hypothesis import example, given, settings, strategies as st
 
+from holtkit.dynamics import DriftReport, InvariantDrift, Trajectory, drift_report
 from holtkit.parsing import parse_expression
 from holtkit.phasepoly import (
     PX,
@@ -202,6 +203,16 @@ parametric_polys = st.dictionaries(flat_terms, wide_fractions, max_size=8).map(P
 coordinates = st.one_of(st.floats(0.05, 3), st.floats(-3, -0.05), st.floats())
 heights = st.one_of(st.floats(0.05, 4), st.floats(0.05, 4), st.floats())
 
+exact_values = st.one_of(st.none(), st.just(0), fractions)
+
+
+@settings(max_examples=80, deadline=None)
+@given(parametric_polys, parametric_polys, st.sampled_from(["x", "u", "y", "px", "py"]),
+       exact_values, exact_values, exact_values)
+def test_every_derived_polynomial_is_keyed_by_terms(f, g, var, k1, k2, k3):
+    for p in (f.substitute_params(k1, k2, k3), f.diff(var), -f, f - g, 1 - f):
+        assert all(type(t) is Term for t in p.terms)
+
 
 def _outcome(run):
     try:
@@ -239,19 +250,9 @@ def test_fused_evaluator_matches_each_evaluate_loop(p, q, r, x, y, px, py, k1, k
 
 
 def _sampled_point_by_point(polys, points, k1, k2, k3):
-    """The fused evaluator's value columns over the points, and each
-    column's largest deviation from its first value, by plain loops."""
+    """The fused evaluator's value columns over the points, by a plain loop."""
     evaluate = compile_all(polys, k1, k2, k3)
-    columns = [list(column) for column in zip(*[evaluate(*p) for p in points])]
-    worst = []
-    for column in columns:
-        w = 0.0
-        for value in column:
-            dev = abs(value - column[0])
-            if dev > w:
-                w = dev
-        worst.append(w)
-    return columns, tuple(worst)
+    return [list(column) for column in zip(*[evaluate(*p) for p in points])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,19 +261,41 @@ def _sampled_point_by_point(polys, points, k1, k2, k3):
        coordinates, coordinates, coordinates)
 def test_sampling_pass_matches_the_fused_evaluator_point_by_point(polys, points, k1, k2, k3):
     def sampled():
-        columns, worst = sample_all(polys, points, k1, k2, k3)
-        return [list(column) for column in columns], worst
+        return [list(column) for column in sample_all(polys, points, k1, k2, k3)]
 
     reference = _outcome(lambda: _sampled_point_by_point(polys, points, k1, k2, k3))
     assert _outcome(sampled) == reference
 
 
-def test_sampling_pass_never_takes_a_nan_deviation_for_the_largest():
-    points = [(1.0, 1.0, 0.0, 0.0), (3.0, 1.0, 0.0, 0.0), (float("nan"), 1.0, 0.0, 0.0)]
-    columns, worst = sample_all([X], points)
-    assert repr(columns[0].tolist()) == "[1.0, 3.0, nan]" and worst == (2.0,)
-    # every deviation from a nan first value is nan
-    assert sample_all([X], points[::-1])[1] == (0.0,)
+def _trajectory(*columns):
+    """A Trajectory with the given invariant columns and that many samples."""
+    n = len(columns[0])
+    return Trajectory(tuple(map(float, range(n))), ((0.0, 1.0, 0.0, 0.0),) * n,
+                      tuple(f"I{i}" for i in range(len(columns))), columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(), min_size=4, max_size=4), min_size=1, max_size=3))
+def test_drift_report_takes_the_largest_deviation_as_a_plain_loop_does(columns):
+    drifts = []
+    for i, column in enumerate(columns):
+        worst = 0.0
+        for value in column:
+            dev = abs(value - column[0])
+            if dev > worst:
+                worst = dev
+        drifts.append(InvariantDrift(f"I{i}", column[0], worst / max(abs(column[0]), 1.0)))
+    report = drift_report(_trajectory(*columns))
+    assert repr(report) == repr(DriftReport(tuple(drifts), 4))
+
+
+def test_drift_report_never_takes_a_nan_deviation_for_the_largest():
+    nan = float("nan")
+    report = drift_report(_trajectory([1.0, 3.0, nan], [1.0, nan, 3.0]))
+    assert [d.drift for d in report.invariants] == [2.0, 2.0]
+    # a nan first value makes the scale max(|nan|, 1.0) nan, and so the drift
+    drift = drift_report(_trajectory([nan, 3.0, 1.0])).invariants[0]
+    assert repr((drift.initial, drift.drift)) == "(nan, nan)"
 
 
 def test_fused_evaluator_of_no_polynomials_is_the_empty_tuple():

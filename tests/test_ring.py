@@ -1,10 +1,12 @@
-"""Exact arithmetic in the parameters k1, k2, k3, the PhasePoly generators."""
+"""Exact arithmetic in the parameters k1, k2, k3, the PhasePoly generators,
+and the integer kernel underneath."""
 
 from fractions import Fraction
 
 import pytest
 
 import holtkit
+from holtkit import ring
 from holtkit.phasepoly import K1, K2, K3, PhasePoly, Term
 
 ONE = PhasePoly.constant(1)
@@ -79,3 +81,34 @@ def test_equality_against_numbers():
     assert PhasePoly.constant(Fraction(3, 4)) == Fraction(3, 4)
     assert PhasePoly.constant(5) == 5
     assert K1 != 1
+
+
+def test_sum_of_products_on_plain_exponent_tuples():
+    assert ring.sum_of_products([]) == (1, {})
+    # scaled operands (den, [(exponents, numerator)]) in x and y
+    plus = (2, [((1, 0), 2), ((0, 0), 1)])  # x + 1/2
+    minus = (2, [((1, 0), 2), ((0, 0), -1)])  # x - 1/2
+    third_y = (3, [((0, 1), 1)])
+    empty = (1, [])
+    den, sums = ring.sum_of_products([(1, plus, minus), (-1, third_y, third_y),
+                                      (1, third_y, empty)])
+    # x^2 - 1/4 - 1/9 y^2 over 36; the x terms cancel
+    nonzero = {k: n for k, n in sums.items() if n}
+    assert den == 36 and nonzero == {(2, 0): 36, (0, 0): -9, (0, 2): -4}
+    den, sums = ring.sum_of_products([(1, plus, minus), (-1, minus, plus)])
+    assert den == 4 and not any(sums.values())
+
+
+def test_sum_of_products_adds_the_same_terms_in_either_key_layout():
+    # nine terms times nine is more than ring._PACK_RATIO pairs per operand
+    # term, so these products add packed keys; one term times nine adds tuples
+    wide = (1, [((i, -i), i + 1) for i in range(9)])
+    packed = ring.sum_of_products([(1, wide, wide), (-1, wide, wide)])
+    assert packed[0] == 1 and not any(packed[1].values())
+    square = ring.sum_of_products([(1, wide, wide)])
+    by_term = [ring.sum_of_products([(1, (1, [term]), wide)])[1] for term in wide[1]]
+    expected = {}
+    for sums in by_term:
+        for k, n in sums.items():
+            expected[k] = expected.get(k, 0) + n
+    assert square == (1, expected)
