@@ -2,9 +2,10 @@
 
 Forces come from symbolic differentiation of the catalog potential,
 compiled once per run into one evaluator for both components; there is no
-numerical differentiation anywhere.  After the steps, one generated pass
-evaluates every tracked invariant once per sample; the table and the drift
-report only read what it stored.  Fixed step only: the convergence study
+numerical differentiation anywhere.  A run is recorded as float columns:
+the steps fill t, x, y, px and py, then one generated pass evaluates every
+tracked invariant once per sample into a column of its own; the table and
+the drift report only read them.  Fixed step only: the convergence study
 needs clean order estimates.
 """
 
@@ -25,6 +26,9 @@ INTEGRATORS = ("leapfrog2", "composed4")
 _C1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _C2 = 1.0 - 2.0 * _C1
 
+# the columns every run records, ahead of its tracked invariants
+_STATE = ("t", "x", "y", "px", "py")
+
 
 class TrajectoryAborted(DomainError):
     """Trajectory left the y > y_min domain; carries the violation time."""
@@ -44,12 +48,7 @@ class _Coordinates(NamedTuple):
 
 
 class PhasePoint(_Coordinates):
-    """A finite phase-space point: the tuple (x, y, px, py) with names.
-
-    integrate stores one per step and builds it with tuple.__new__ after
-    its own finiteness test, so a state that blows up mid-run still ends
-    as this DomainError.
-    """
+    """A finite phase-space point (x, y, px, py): the start of a run."""
 
     __slots__ = ()
 
@@ -112,28 +111,24 @@ class SimConfig(_SimFields):
 
 
 class Trajectory:
-    """The samples of one run and the invariants tracked along it.
+    """The record of one run: one read-only float column per name.
 
-    times and points hold the samples, and len() counts them.  invariants
-    holds the names of the tracked entries; values holds, for each, a
-    read-only column of its value at every sample.
+    names is ("t", "x", "y", "px", "py", *the tracked invariants), and
+    columns holds, for each name, its value at every sample; len() counts
+    the samples.
     """
 
-    __slots__ = ("times", "points", "invariants", "values")
+    __slots__ = ("names", "columns")
 
-    def __init__(self, times: tuple[float, ...], points: tuple[PhasePoint, ...],
-                 invariants: tuple[str, ...], values: tuple[Sequence[float], ...]):
-        for name, value in zip(self.__slots__, (times, points, invariants, values)):
-            object.__setattr__(self, name, value)
+    def __init__(self, names: tuple[str, ...], columns: tuple[Sequence[float], ...]):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "columns", columns)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
+        return len(self.columns[0])
 
 
 class InvariantDrift(NamedTuple):
@@ -180,39 +175,42 @@ def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,
             raise ValueError(f"{entry.name} is not evaluable on phase points")
     force = compile_all((-V.diff("x"), -V.diff("y")), cfg.k1, cfg.k2, cfg.k3)
 
+    # imported here: only a run uses it, and an import at the top would
+    # cost every start-up
+    from array import array
+
     h, y_min = cfg.h, cfg.y_min
     weights = (1.0,) if cfg.integrator == "leapfrog2" else (_C1, _C2, _C1)
-    n_steps = max(1, round(cfg.t_end / h))
+    n_steps = round(cfg.t_end / h)
     x, y, px, py = start
     ax, ay = force(x, y, px, py)
 
-    times = [0.0]
-    points = [start]
-    tuple_new = tuple.__new__
-    t = 0.0
+    state = tuple(array("d", (value,)) for value in start)
+    append_x, append_y, append_px, append_py = (c.append for c in state)
     for i in range(n_steps):
-        t_sub = t
+        t = i * h
         for w in weights:
             dt = w * h
             px += 0.5 * dt * ax
             py += 0.5 * dt * ay
             x += dt * px
             y += dt * py
-            t_sub += dt
+            t += dt
             if y <= y_min:
-                raise TrajectoryAborted(t_sub, y, y_min)
+                raise TrajectoryAborted(t, y, y_min)
             ax, ay = force(x, y, px, py)
             px += 0.5 * dt * ax
             py += 0.5 * dt * ay
-        t = (i + 1) * h
-        times.append(t)
-        if isfinite(x) and isfinite(y) and isfinite(px) and isfinite(py):
-            points.append(tuple_new(PhasePoint, (x, y, px, py)))
-        else:
+        if not (isfinite(x) and isfinite(y) and isfinite(px) and isfinite(py)):
             PhasePoint(x, y, px, py)  # raises the DomainError naming the state
-    columns = sample_all([e.expression for e in entries], points, cfg.k1, cfg.k2, cfg.k3)
-    return Trajectory(tuple(times), tuple(points), tuple(e.name for e in entries),
-                      tuple(memoryview(c).toreadonly() for c in columns))
+        append_x(x)
+        append_y(y)
+        append_px(px)
+        append_py(py)
+    times = array("d", map(h.__mul__, range(n_steps + 1)))  # sample i is at i * h
+    tracked = sample_all([e.expression for e in entries], zip(*state), cfg.k1, cfg.k2, cfg.k3)
+    return Trajectory((*_STATE, *(e.name for e in entries)),
+                      tuple(memoryview(c).toreadonly() for c in (times, *state, *tracked)))
 
 
 def drift_report(traj: Trajectory) -> DriftReport:
@@ -223,7 +221,7 @@ def drift_report(traj: Trajectory) -> DriftReport:
     nan reads 0.0.
     """
     drifts = []
-    for name, column in zip(traj.invariants, traj.values):
+    for name, column in zip(traj.names[len(_STATE):], traj.columns[len(_STATE):]):
         worst = max(chain((0.0,), map(abs, map(sub, column, repeat(column[0])))))
         drifts.append(InvariantDrift(name, column[0], worst / max(abs(column[0]), 1.0)))
     return DriftReport(tuple(drifts), len(traj))
@@ -260,9 +258,8 @@ def convergence_order(potential: CatalogEntry, start: PhasePoint,
 def format_trajectory(traj: Trajectory) -> str:
     """Tab-separated table, one row per sample, repr-precision floats: the
     time, the point and each tracked invariant's value."""
-    columns = (traj.times, *zip(*traj.points), *traj.values)
-    lines = ["\t".join(["t", "x", "y", "px", "py", *traj.invariants])]
+    lines = ["\t".join(traj.names)]
     # repr each column in one map, then join the row; repr is most of the cost
-    lines += map("\t".join, zip(*(map(repr, column) for column in columns)))
+    lines += map("\t".join, zip(*(map(repr, column) for column in traj.columns)))
     lines.append("")  # the closing newline, without a second copy of the table
     return "\n".join(lines)

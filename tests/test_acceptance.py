@@ -162,8 +162,9 @@ def test_10_numeric_corroboration():
     worst_rev = 0.0
     for integ in windows:
         cfg = SimConfig(h=1e-3, t_end=5.5, integrator=integ, k2=1.0)
-        e = integrate(U, start, cfg).points[-1]
-        b = integrate(U, PhasePoint(e.x, e.y, -e.px, -e.py), cfg).points[-1]
+        e = PhasePoint(*(c[-1] for c in integrate(U, start, cfg).columns[1:5]))
+        back = integrate(U, PhasePoint(e.x, e.y, -e.px, -e.py), cfg)
+        b = PhasePoint(*(c[-1] for c in back.columns[1:5]))
         err = max(abs(b.x - start.x), abs(b.y - start.y),
                   abs(-b.px - start.px), abs(-b.py - start.py))
         worst_rev = max(worst_rev, err)

@@ -465,6 +465,8 @@ def test_simulate_rejects_bad_start():
     ("--h", "inf"),
     ("--t-end", "inf"),
     ("--t-end", "nan"),
+    ("--t-end=-1",),
+    ("--t-end", "0"),
     ("--y-min", "nan"),
     ("--k2", "nan"),
     ("--k3", "-inf"),
@@ -481,6 +483,14 @@ def test_simulate_rejects_bad_numbers(capsys, extra):
         main(argv)
     assert exc_info.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_simulate_refuses_to_track_a_vector_field(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["simulate", "--potential", "U", "--start", "0,1,0.5,0.5",
+              "--invariants", "Gamma_H"])
+    assert exc_info.value.code == 2
+    assert "Gamma_H is a vector field and cannot be tracked" in capsys.readouterr().err
 
 
 def test_simulate_rejects_non_potential():

@@ -28,6 +28,11 @@ START = PhasePoint(0.0, 1.0, 0.5, 0.5)
 COLLISION_TIME = 5.8696  # established by step refinement and an adaptive check
 
 
+def _end(traj):
+    """The last sampled point of a run."""
+    return PhasePoint(*(column[-1] for column in traj.columns[1:5]))
+
+
 def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(h=0.0, t_end=1.0)
@@ -81,9 +86,16 @@ def test_phase_point_is_a_checked_tuple_with_the_dataclass_repr():
         point._replace(x=float("inf"))
 
 
-def test_trajectory_points_are_phase_points():
-    traj = integrate(U, START, SimConfig(h=0.05, t_end=0.1, k2=1.0))
-    assert all(type(p) is PhasePoint for p in traj.points)
+def test_a_trajectory_names_its_columns_and_keeps_them_read_only():
+    tracked = [catalog.build("H_U"), catalog.build("K2_3")]
+    traj = integrate(U, START, SimConfig(h=0.05, t_end=0.1, k2=1.0), tracked)
+    assert traj.names == ("t", "x", "y", "px", "py", "H_U", "K2_3")
+    assert len(traj.columns) == len(traj.names)
+    assert [column[0] for column in traj.columns[:5]] == [0.0, *START]
+    for column in traj.columns:
+        assert len(column) == len(traj) == 3
+        with pytest.raises(TypeError):
+            column[0] = 0.0
 
 
 def test_start_must_clear_the_guard():
@@ -95,7 +107,7 @@ def test_free_case_is_exact():
     cfg = SimConfig(h=1e-3, t_end=1.0)
     traj = integrate(U, PhasePoint(0.0, 1.0, 0.5, 0.0), cfg)
     assert len(traj) == 1001
-    end = traj.points[-1]
+    end = _end(traj)
     assert end.x == pytest.approx(0.5, abs=1e-12)
     assert end.y == 1.0
     assert end.px == 0.5 and end.py == 0.0
@@ -113,9 +125,9 @@ def test_time_reversibility_both_integrators():
     for integ in ("leapfrog2", "composed4"):
         cfg = SimConfig(h=1e-3, t_end=5.5, integrator=integ, k2=1.0)
         fwd = integrate(U, START, cfg)
-        e = fwd.points[-1]
+        e = _end(fwd)
         back = integrate(U, PhasePoint(e.x, e.y, -e.px, -e.py), cfg)
-        b = back.points[-1]
+        b = _end(back)
         assert abs(b.x - START.x) <= 1e-9
         assert abs(b.y - START.y) <= 1e-9
         assert abs(-b.px - START.px) <= 1e-9
@@ -188,14 +200,34 @@ def test_convergence_order_input_validation():
 
 def test_hamiltonian_entry_accepted_as_potential():
     cfg = SimConfig(h=1e-2, t_end=0.5, k2=1.0)
-    a = integrate(U, START, cfg).points[-1]
-    b = integrate(catalog.build("H_U"), START, cfg).points[-1]
+    a = _end(integrate(U, START, cfg))
+    b = _end(integrate(catalog.build("H_U"), START, cfg))
     assert a == b
 
 
 def test_integral_entry_rejected_by_integrator():
     with pytest.raises(ValueError):
         integrate(catalog.build("K2_3"), START, SimConfig(h=1e-2, t_end=0.5))
+
+
+def test_a_vector_field_is_not_a_potential():
+    with pytest.raises(ValueError, match="Gamma_H is not a scalar phase-space expression"):
+        integrate(catalog.build("Gamma_H"), START, SimConfig(h=1e-2, t_end=0.5))
+
+
+def test_a_run_records_each_sample_in_a_few_dozen_bytes():
+    # five float columns hold 40 bytes a sample; the rest of the 64 is room
+    # for the arrays' over-allocation, and a tuple per step would take 232
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        traj = integrate(U, START, SimConfig(h=1e-5, t_end=1.0, k2=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 100001
+    assert peak / len(traj) < 64
 
 
 def test_trajectory_table_round_trips():
@@ -231,9 +263,10 @@ def test_sampled_invariants_are_the_evaluate_loop_values(name, start, k, integra
     cfg = SimConfig(h=0.01, t_end=1.0, integrator=integrator, **k)
     entries = [catalog.build(n) for n in catalog.invariants(name)]
     traj = integrate(catalog.build(name), start, cfg, entries)
-    assert traj.invariants == tuple(e.name for e in entries)
-    reference = [[e.expression.evaluate(*p, **k) for p in traj.points] for e in entries]
-    assert [list(map(repr, column)) for column in traj.values] == \
+    assert traj.names[5:] == tuple(e.name for e in entries)
+    points = list(zip(*traj.columns[1:5]))
+    reference = [[e.expression.evaluate(*p, **k) for p in points] for e in entries]
+    assert [list(map(repr, column)) for column in traj.columns[5:]] == \
         [list(map(repr, column)) for column in reference]
     drifts = []
     for e, column in zip(entries, reference):
@@ -251,7 +284,7 @@ def test_sampled_invariants_are_the_evaluate_loop_values(name, start, k, integra
 def test_a_trajectory_keeps_its_sampled_values_read_only():
     traj = integrate(U, START, SimConfig(h=0.25, t_end=0.5, k2=1.0), [catalog.build("H_U")])
     with pytest.raises(TypeError):
-        traj.values[0][0] = 0.0
+        traj.columns[5][0] = 0.0
 
 
 def test_a_vector_field_cannot_be_tracked():

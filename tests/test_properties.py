@@ -270,8 +270,9 @@ def test_sampling_pass_matches_the_fused_evaluator_point_by_point(polys, points,
 def _trajectory(*columns):
     """A Trajectory with the given invariant columns and that many samples."""
     n = len(columns[0])
-    return Trajectory(tuple(map(float, range(n))), ((0.0, 1.0, 0.0, 0.0),) * n,
-                      tuple(f"I{i}" for i in range(len(columns))), columns)
+    state = (tuple(map(float, range(n))), (0.0,) * n, (1.0,) * n, (0.0,) * n, (0.0,) * n)
+    return Trajectory(("t", "x", "y", "px", "py", *(f"I{i}" for i in range(len(columns)))),
+                      (*state, *columns))
 
 
 @settings(max_examples=200, deadline=None)

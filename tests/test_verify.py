@@ -137,6 +137,14 @@ def test_single_sign_flip_in_cubic_integral_is_caught(index):
         assert by_id[cid].residual_rendered not in (None, "0")
 
 
+def test_a_failing_report_names_the_residual_and_the_verdict():
+    entry = catalog.build("K2_3")
+    bad = entry._replace(expression=_flip_term(entry.expression, 0))
+    lines = verify.full_suite({"K2_3": bad}).render_text().splitlines()
+    assert "FAIL  conserved_K2_3: {K2_3, H(U)} = 0  [residual: 12*k2*u^-2*px^2]" in lines
+    assert lines[-1] == "11/22 passed; VERIFICATION FAILED"
+
+
 def test_fault_injection_leaves_untouched_checks_green():
     entry = catalog.build("K2_3")
     bad = entry._replace(expression=_flip_term(entry.expression, 0))
