@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import catalog, verify
 from .dynamics import (
+    INTEGRATORS,
     PhasePoint,
     SimConfig,
     TrajectoryAborted,
@@ -56,17 +57,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="initial phase-space point")
     p_sim.add_argument("--h", type=float, default=1e-3, help="time step")
     p_sim.add_argument("--t-end", type=float, default=1.0, dest="t_end")
-    p_sim.add_argument("--integrator", default="leapfrog2",
-                       choices=["leapfrog2", "composed4"])
-    p_sim.add_argument("--y-min", type=float, default=1e-6, dest="y_min",
+    p_sim.add_argument("--integrator", choices=INTEGRATORS)
+    p_sim.add_argument("--y-min", type=float, dest="y_min",
                        help="abort guard for the y > 0 domain")
     for k in ("k1", "k2", "k3"):
-        p_sim.add_argument(f"--{k}", type=float, default=0.0)
+        p_sim.add_argument(f"--{k}", type=float)
     p_sim.add_argument("--out", metavar="PATH",
                        help="write the trajectory table here instead of stdout")
     p_sim.add_argument("--invariants", metavar="NAMES",
                        help="comma-separated catalog names to track "
                             "(default: Hamiltonian plus known integrals)")
+    p_sim.set_defaults(**SimConfig._field_defaults)
     return parser
 
 
@@ -219,23 +220,15 @@ def _run_simulate(args, parser) -> int:
     except ValueError as exc:
         parser.error(f"bad --start value {args.start!r}: {exc}")
     try:
-        cfg = SimConfig(h=args.h, t_end=args.t_end, integrator=args.integrator,
-                        y_min=args.y_min, k1=args.k1, k2=args.k2, k3=args.k3)
+        cfg = SimConfig(**{n: getattr(args, n) for n in SimConfig._fields})
     except ValueError as exc:
         parser.error(str(exc))
-    if start.y <= cfg.y_min:
-        parser.error(f"start y = {start.y!r} must exceed --y-min {cfg.y_min!r}")
 
     if args.invariants:
         inv_names = [n.strip() for n in args.invariants.split(",") if n.strip()]
     else:
         inv_names = catalog.invariants(args.potential)
-    invariants = []
-    for n in inv_names:
-        e = _entry(n, parser)
-        if not isinstance(e.expression, PhasePoly):
-            parser.error(f"{n} is a vector field and cannot be tracked")
-        invariants.append(e)
+    invariants = [_entry(n, parser) for n in inv_names]
 
     try:
         traj = integrate(potential, start, cfg, invariants)
@@ -245,6 +238,8 @@ def _run_simulate(args, parser) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # after DomainError, which is a ValueError
+        parser.error(str(exc))
 
     table = format_trajectory(traj)
     report = drift_report(traj)

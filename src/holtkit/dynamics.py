@@ -26,6 +26,10 @@ INTEGRATORS = ("leapfrog2", "composed4")
 _C1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _C2 = 1.0 - 2.0 * _C1
 
+# the most steps a run may take: a run tracking four invariants records nine
+# float columns, 720 MB at 10**7 samples, before its table is formatted
+_MAX_STEPS = 10**7
+
 # the columns every run records, ahead of its tracked invariants
 _STATE = ("t", "x", "y", "px", "py")
 
@@ -91,10 +95,11 @@ class SimConfig(_SimFields):
             raise ValueError("t_end must be positive")
         if self.h > self.t_end:
             raise ValueError("step h must not exceed t_end")
-        if not math.isfinite(self.t_end / self.h):
-            raise ValueError(f"t_end = {self.t_end!r} holds too many steps of "
-                             f"h = {self.h!r} to count")
-        steps = round(self.t_end / self.h)
+        ratio = self.t_end / self.h
+        if ratio > _MAX_STEPS:  # an infinite ratio included
+            raise ValueError(f"t_end = {self.t_end!r} holds too many steps of h = {self.h!r}: "
+                             f"{ratio!r}, past the limit of {_MAX_STEPS}")
+        steps = round(ratio)
         if abs(steps * self.h - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(f"t_end = {self.t_end!r} is not a whole number of "
                              f"steps of h = {self.h!r}")
@@ -172,7 +177,7 @@ def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,
     entries = tuple(invariants)
     for entry in entries:
         if not isinstance(entry.expression, PhasePoly):
-            raise ValueError(f"{entry.name} is not evaluable on phase points")
+            raise ValueError(f"{entry.name} is a vector field and cannot be tracked")
     force = compile_all((-V.diff("x"), -V.diff("y")), cfg.k1, cfg.k2, cfg.k3)
 
     # imported here: only a run uses it, and an import at the top would

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from functools import cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from . import __version__, catalog
 from .phasepoly import (
@@ -36,7 +36,7 @@ class Check(NamedTuple):
     citation: str
     passed: bool
     residual_rendered: str | None  # canonical text, only when failed
-    millis: float
+    millis: float  # the claim's whole cost, set by full_suite; 0.0 from a lone check
 
 
 class VerificationReport(NamedTuple):
@@ -81,26 +81,25 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _zero_check(id: str, description: str, citation: str,
-                residual_of: Callable[[], PhasePoly | VectorField]) -> Check:
-    """Time residual_of() and pass iff the residual is exactly zero."""
-    t0 = time.perf_counter()
-    residual = residual_of()
-    millis = (time.perf_counter() - t0) * 1000.0
-    passed = residual.is_zero
-    return Check(id, description, citation, passed,
-                 None if passed else residual.render(), millis)
+def _failure(residual: PhasePoly | VectorField) -> str | None:
+    """None if the residual is exactly zero, else its canonical text."""
+    return None if residual.is_zero else residual.render()
+
+
+def _verdict(id: str, description: str, citation: str, failure: str | None) -> Check:
+    """The Check of a claim that holds iff failure is None; full_suite sets millis."""
+    return Check(id, description, citation, failure is None, failure, 0.0)
 
 
 def check_conserved(J: PhasePoly, H: PhasePoly, *, id: str = "conserved",
                     description: str = "{J, H} = 0", citation: str = "") -> Check:
-    return _zero_check(id, description, citation, lambda: poisson_bracket(J, H))
+    return _verdict(id, description, citation, _failure(poisson_bracket(J, H)))
 
 
 def check_identity(lhs: PhasePoly | VectorField, rhs: PhasePoly | VectorField, *,
                    id: str = "identity", description: str = "lhs = rhs",
                    citation: str = "") -> Check:
-    return _zero_check(id, description, citation, lambda: lhs - rhs)
+    return _verdict(id, description, citation, _failure(lhs - rhs))
 
 
 # a field relation is the same exact zero test, componentwise
@@ -126,7 +125,6 @@ def check_lie_closure(basis: Mapping[str, PhasePoly],
             raise KeyError(f"claimed bracket ({na}, {nb}) names an element outside the basis")
         if na != nb and (nb, na) in claimed_brackets:
             raise KeyError(f"bracket of ({na}, {nb}) claimed in both orientations")
-    t0 = time.perf_counter()
     names = list(basis)
     failures = []
     for i, na in enumerate(names):
@@ -139,13 +137,10 @@ def check_lie_closure(basis: Mapping[str, PhasePoly],
                 claimed = -claimed_brackets[(nb, na)]
             else:
                 raise KeyError(f"no claimed bracket for pair ({na}, {nb})")
-            residual = poisson_bracket(basis[na], basis[nb]) - claimed
-            if not residual.is_zero:
-                failures.append(f"{{{na}, {nb}}} off by {residual.render()}")
-    millis = (time.perf_counter() - t0) * 1000.0
-    passed = not failures
-    return Check(id, description, citation, passed,
-                 None if passed else "; ".join(failures), millis)
+            failure = _failure(poisson_bracket(basis[na], basis[nb]) - claimed)
+            if failure is not None:
+                failures.append(f"{{{na}, {nb}}} off by {failure}")
+    return _verdict(id, description, citation, "; ".join(failures) or None)
 
 
 def _conserved(J: str, V: str, citation: str, note: str = "") -> tuple:

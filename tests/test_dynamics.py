@@ -56,14 +56,18 @@ def test_simconfig_rejects_non_finite_values(field, bad):
 def test_simconfig_requires_whole_number_of_steps():
     with pytest.raises(ValueError, match="whole number"):
         SimConfig(h=0.3, t_end=1.0)
-    for h, t_end in ((1e-3, 5.5), (1e-2, 0.1), (0.05, 0.1), (0.25, 0.5), (4e-3, 1.0)):
+    for h, t_end in ((1e-3, 5.5), (1e-2, 0.1), (0.05, 0.1), (0.25, 0.5), (4e-3, 1.0),
+                     (1e-7, 1.0)):  # 10**7 steps, the most a run may take
         assert SimConfig(h=h, t_end=t_end).t_end == t_end
 
 
-@pytest.mark.parametrize("h, t_end", [(5e-324, 1.0), (1e-308, 1e308)])
+@pytest.mark.parametrize("h, t_end", [(5e-324, 1.0), (1e-308, 1e308), (1e-300, 1.0)])
 def test_simconfig_rejects_a_step_count_too_large_to_count(h, t_end):
     with pytest.raises(ValueError, match="too many steps"):
         SimConfig(h=h, t_end=t_end)
+    with pytest.raises(ValueError, match="too many steps") as exc_info:
+        SimConfig(h=1.0, t_end=1.0)._replace(h=h, t_end=t_end)
+    assert len(str(exc_info.value)) < 120  # the ratio printed as a float
 
 
 @pytest.mark.parametrize("coords", [(float("nan"), 1.0, 0.0, 0.0),
@@ -288,5 +292,5 @@ def test_a_trajectory_keeps_its_sampled_values_read_only():
 
 
 def test_a_vector_field_cannot_be_tracked():
-    with pytest.raises(ValueError, match="Gamma_H is not evaluable on phase points"):
+    with pytest.raises(ValueError, match="Gamma_H is a vector field and cannot be tracked"):
         integrate(U, START, SimConfig(h=0.25, t_end=0.5), [catalog.build("Gamma_H")])

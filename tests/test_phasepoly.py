@@ -346,3 +346,31 @@ def test_vf_scaling_by_ring_elements():
     scaled = 1944 * K2**3 * G
     assert scaled.cx == 1944 * K2**3 * PX
     assert scaled.momentum_order == 1
+
+
+GAMMA_H = catalog.build("Gamma_H").expression
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PhasePoly({(0, 0, 0, 0): 0.5}),
+    lambda: X + 0.5,
+    lambda: 0.5 + X,
+    lambda: X - 0.5,
+    lambda: 0.5 - X,
+    lambda: 0.5 * X,
+    lambda: GAMMA_H - 1,
+    lambda: GAMMA_H * 0.5,
+], ids=["constructor", "add", "radd", "sub", "rsub", "rmul", "field-sub-int", "field-mul"])
+def test_no_float_enters_the_exact_ring(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_a_float_never_equals_an_exact_polynomial():
+    assert (X == 0.5) is False
+    assert (PhasePoly.constant(1) == 1.0) is False
+
+
+@pytest.mark.parametrize("value", [X - 2 * PY, GAMMA_H], ids=["poly", "field"])
+def test_str_is_the_canonical_render(value):
+    assert str(value) == value.render()

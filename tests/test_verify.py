@@ -115,6 +115,19 @@ def test_lie_closure_uses_antisymmetry_for_reversed_claims():
     assert c.passed
 
 
+def test_lie_closure_names_every_pair_that_is_off():
+    c = verify.check_lie_closure({"x": X, "px": PX}, {("px", "x"): 1, ("x", "x"): X})
+    assert not c.passed
+    assert c.residual_rendered == "{x, x} off by -x; {x, px} off by 2"
+
+
+def test_full_suite_is_the_only_clock(report):
+    """A lone check is not timed; every row of the suite is, as a whole."""
+    assert verify.check_identity(X, X).millis == 0.0
+    assert verify.check_lie_closure({"x": X}, {}).millis == 0.0
+    assert all(c.millis > 0.0 for c in report.checks)
+
+
 def _flip_term(poly, index):
     monos = sorted(poly.terms, key=lambda m: m.sort_key(), reverse=True)
     target = monos[index]
