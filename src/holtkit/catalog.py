@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple
 
 from .parsing import parse_expression
 from .phasepoly import PhasePoly, VectorField, hamiltonian_vf
-from .ring import Scalar
 
 
 class CatalogEntry(NamedTuple):
@@ -119,16 +118,3 @@ def invariants(potential: str) -> list[str]:
     """The Hamiltonian of a catalog potential, then the integrals it conserves."""
     return [f"H_{potential}", *_POTENTIALS[potential][2]]
 
-
-def specialize(entry: CatalogEntry, k1: Scalar | None = None,
-               k2: Scalar | None = None, k3: Scalar | None = None) -> CatalogEntry:
-    """Substitute given parameters exactly, leaving the others symbolic."""
-    expr = entry.expression
-    if isinstance(expr, VectorField):
-        new = VectorField(*(c.substitute_params(k1=k1, k2=k2, k3=k3)
-                            for c in expr.components()))
-    else:
-        new = expr.substitute_params(k1=k1, k2=k2, k3=k3)
-    if new.is_zero:
-        raise ValueError(f"specialization annihilates {entry.name}")
-    return entry._replace(expression=new, momentum_order=new.momentum_order)

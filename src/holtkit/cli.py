@@ -23,7 +23,7 @@ from .dynamics import (
     integrate,
 )
 from .parsing import ParseError, parse_expression
-from .phasepoly import SLOTS, DomainError, PhasePoly, poisson_bracket
+from .phasepoly import DomainError, PhasePoly, poisson_bracket
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,12 +147,6 @@ def _run_verify(args, parser) -> int:
     return 0 if report.all_passed else 1
 
 
-# the most bits a bracket term's substituted powers may cost: far past the
-# 14.3k bits of the 4300 digits render prints by default, while a power of
-# that size still takes well under a second
-_SUBSTITUTION_BITS = 2**20
-
-
 def _run_bracket(args, parser) -> int:
     f = _resolve_expression(args.first, parser)
     g = _resolve_expression(args.second, parser)
@@ -171,20 +165,10 @@ def _run_bracket(args, parser) -> int:
     at = ", ".join(f"--{k} {getattr(args, k)!r}" for k in subs)
     too_long = (f"the bracket of {args.first!r} and {args.second!r}"
                 f"{' at ' + at if at else ''} has a coefficient too long to print")
-    if subs:
-        # substitute_params computes every power in full.  A term costs, per
-        # substituted p/q with exponent e, e * (bits of max(|p|, q) - 1), so
-        # 0 and +-1 cost nothing; a term past the budget is refused even
-        # where the terms would cancel
-        bits = {SLOTS[k][0]: max(abs(v.numerator), v.denominator).bit_length() - 1
-                for k, v in subs.items()}
-        if any(sum(key[i] * b for i, b in bits.items()) > _SUBSTITUTION_BITS
-               for key in result.terms):
-            parser.error(too_long)
-        result = result.substitute_params(**subs)
     try:
-        text = result.render()
-    except ValueError:  # a coefficient past sys.get_int_max_str_digits()
+        # a power past substitute_params' bit budget, or too many digits to render
+        text = result.substitute_params(**subs).render()
+    except ValueError:
         parser.error(too_long)
     print(text)
     return 0

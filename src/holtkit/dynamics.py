@@ -17,7 +17,7 @@ from math import isfinite
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .catalog import KINETIC, CatalogEntry
+from .catalog import CatalogEntry
 from .phasepoly import DomainError, PhasePoly, compile_all, sample_all
 
 INTEGRATORS = ("leapfrog2", "composed4")
@@ -148,15 +148,12 @@ class DriftReport(NamedTuple):
 
 
 def _potential_poly(entry: CatalogEntry) -> PhasePoly:
-    """Extract the momentum-free potential from a potential or Hamiltonian entry."""
-    expr = entry.expression
-    if not isinstance(expr, PhasePoly):
-        raise ValueError(f"{entry.name} is not a scalar phase-space expression")
-    if entry.kind == "hamiltonian":
-        expr = expr - KINETIC
-    if expr.momentum_order != 0:
-        raise ValueError(f"{entry.name} is not momentum-free; pass a potential")
-    return expr
+    """The expression of a potential entry, checked to be a momentum-free polynomial."""
+    if entry.kind != "potential":
+        raise ValueError(f"{entry.name} is not a potential")
+    if not isinstance(entry.expression, PhasePoly) or entry.expression.momentum_order:
+        raise ValueError(f"{entry.name} is not a momentum-free polynomial")
+    return entry.expression
 
 
 def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,

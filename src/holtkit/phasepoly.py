@@ -63,6 +63,12 @@ SLOTS = {"x": (0, 1), "u": (1, 1), "y": (1, 3), "px": (2, 1), "py": (3, 1),
          "k1": (4, 1), "k2": (5, 1), "k3": (6, 1)}
 _PARAM_SLOT = 4
 
+# the most bits one term's substituted powers may cost, at e * (bits of
+# max(|p|, q) - 1) per substituted p/q with exponent e, so 0 and +-1 cost
+# nothing: far past the 14.3k bits of the 4300 digits render prints by
+# default, while a power of that size still takes well under a second
+_SUBSTITUTION_BITS = 2**20
+
 # factor names in rendered order: parameters first, then Term slots 0-3
 _RENDER_NAMES = ("k1", "k2", "k3", "x", "u", "px", "py")
 
@@ -106,14 +112,14 @@ class PhasePoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        """Keys are Terms, or tuples of their first 4 or all 7 exponents."""
+        """Keys are Terms, or tuples of all 7 exponents."""
         terms = terms or {}
         for key in terms:
-            if len(key) not in (4, 7):
-                raise ValueError(f"expected 4 or 7 exponents, got {key}")
+            if len(key) != 7:
+                raise ValueError(f"expected 7 exponents, got {key}")
             if min(key[:1] + key[2:]) < 0:
                 raise ValueError(f"negative exponent outside u in {key}")
-        self.terms = accumulate({}, ((Term(*k), _frac(c)) for k, c in terms.items()))
+        self.terms = accumulate({}, ((_term(k), _frac(c)) for k, c in terms.items()))
 
     @classmethod
     def _wrap(cls, terms: dict) -> "PhasePoly":
@@ -220,16 +226,18 @@ class PhasePoly:
         den, terms = _partial(_scaled(self.terms), var)
         return self._wrap({_term(k): Fraction(n, den) for k, n in terms})
 
-    def momentum_part(self, epx: int, epy: int) -> "PhasePoly":
-        """Coefficient of px^epx * py^epy: matching terms with momenta stripped."""
-        return self._wrap({t._replace(epx=0, epy=0): c for t, c in self.terms.items()
-                           if t.epx == epx and t.epy == epy})
-
     def substitute_params(self, k1: Scalar | None = None, k2: Scalar | None = None,
                           k3: Scalar | None = None) -> "PhasePoly":
-        """Exact parameter specialization; None leaves a parameter symbolic."""
+        """Exact parameter specialization; None leaves a parameter symbolic.
+
+        Every power is computed in full, so a term past _SUBSTITUTION_BITS
+        raises ValueError first, even where the terms would cancel.
+        """
         subs = [(i, _frac(v)) for i, v in enumerate((k1, k2, k3), _PARAM_SLOT)
                 if v is not None]
+        bits = [(i, max(abs(v.numerator), v.denominator).bit_length() - 1) for i, v in subs]
+        if any(sum(key[i] * b for i, b in bits) > _SUBSTITUTION_BITS for key in self.terms):
+            raise ValueError(f"a term's substituted powers cost over {_SUBSTITUTION_BITS} bits")
 
         def substituted():
             for key, coeff in self.terms.items():

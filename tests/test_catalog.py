@@ -1,11 +1,10 @@
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from holtkit import catalog, ring
 from holtkit.parsing import parse_expression
-from holtkit.phasepoly import K2, PhasePoly, VectorField, X, hamiltonian_vf, poisson_bracket
+from holtkit.phasepoly import K2, PhasePoly, X, hamiltonian_vf, poisson_bracket
 
 
 def test_names_cover_all_kinds():
@@ -77,41 +76,26 @@ def test_k_family_reduces_to_originals():
     for kname, name in (("V_h1_k", "V_h1"), ("V_h2_k", "V_h2"), ("V_h3_k", "V_h3"),
                         ("J_h1_3_k", "J_h1_3"), ("J_h2_4_k", "J_h2_4"),
                         ("J_h3_6_k", "J_h3_6")):
-        got = catalog.specialize(catalog.build(kname), k1=1, k2=0, k3=0)
-        assert got.expression == catalog.build(name).expression, kname
+        got = catalog.build(kname).expression.substitute_params(k1=1, k2=0, k3=0)
+        assert got == catalog.build(name).expression, kname
 
 
 def test_limits_reach_the_linear_family():
     for kname, name in (("J_h1_3_k", "K2_3"), ("J_h2_4_k", "K3_4"),
                         ("J_h3_6_k", "K4_6"), ("V_h1_k", "U"), ("V_h2_k", "U")):
-        got = catalog.specialize(catalog.build(kname), k1=0)
-        assert got.expression == catalog.build(name).expression, kname
-
-
-def test_specialize_leaves_symbolic_parameters_alone():
-    e = catalog.specialize(catalog.build("U"), k3=Fraction(1, 2))
-    assert e.expression == catalog.build("U").expression.substitute_params(k3=Fraction(1, 2))
-    assert e.momentum_order == 0
-
-
-def test_specialize_rejects_annihilation():
-    with pytest.raises(ValueError):
-        catalog.specialize(catalog.build("U"), k2=0, k3=0)
-
-
-def test_specialize_vector_field():
-    e = catalog.specialize(catalog.build("Gamma_H"), k2=1, k3=0)
-    assert isinstance(e.expression, VectorField)
-    assert e.expression.cpx == -PhasePoly.monomial(eu=-2)
+        got = catalog.build(kname).expression.substitute_params(k1=0)
+        assert got == catalog.build(name).expression, kname
 
 
 def test_sextic_constant_part_consistency():
     # the momentum-free block of the sextic family integral collapses, at
     # k1 = 0, to the final term of the sextic U integral
-    J0 = catalog.build("J_h3_6_k").expression.momentum_part(0, 0)
-    assert J0.substitute_params(k1=0) == 324 * K2**3 * X
-    K46_const = catalog.build("K4_6").expression.momentum_part(0, 0)
-    assert K46_const == 324 * K2**3 * X
+    def momentum_free(name):
+        return PhasePoly({t: c for t, c in catalog.build(name).expression.terms.items()
+                          if t.epx == t.epy == 0})
+
+    assert momentum_free("J_h3_6_k").substitute_params(k1=0) == 324 * K2**3 * X
+    assert momentum_free("K4_6") == 324 * K2**3 * X
 
 
 def test_fields_are_hamiltonian_fields_of_their_integrals():

@@ -494,10 +494,15 @@ def test_simulate_refuses_to_track_a_vector_field(capsys):
     assert "Gamma_H is a vector field and cannot be tracked" in capsys.readouterr().err
 
 
-def test_simulate_rejects_non_potential():
-    with pytest.raises(SystemExit) as exc_info:
-        main(["simulate", "--potential", "K2_3", "--start", "0,1,0,0"])
-    assert exc_info.value.code == 2
+def test_simulate_rejects_non_potential(capsys):
+    for name in ("H_U", "K2_3", "X2"):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--potential", name, "--start", "0,1,0.5,0.5"])
+        assert exc_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("usage: holtkit [-h] {verify,bracket,catalog,simulate} ...\n"
+                       f"holtkit: error: {name} is not a potential\n")
 
 
 def test_unknown_subcommand_is_an_argument_error():

@@ -233,9 +233,9 @@ def test_compiled_evaluator_matches_the_evaluate_loop(p, x, y, px, py, k1, k2, k
 def _each_evaluated(polys, point, k1, k2, k3):
     """The tuple of evaluate calls, after the parameters of every polynomial
     are folded: compile_all reports a parameter error before any point is
-    seen, as compiling each polynomial on its own would."""
+    seen, as folding each polynomial's parameters first does."""
     for p in polys:
-        p.compile(k1, k2, k3)
+        p._fold(k1, k2, k3)
     return tuple(p.evaluate(*point, k1=k1, k2=k2, k3=k3) for p in polys)
 
 
