@@ -116,5 +116,7 @@ def build(name: str, get: Callable[[str], PhasePoly] | None = None) -> CatalogEn
 
 def invariants(potential: str) -> list[str]:
     """The Hamiltonian of a catalog potential, then the integrals it conserves."""
+    if potential not in _POTENTIALS:
+        raise ValueError(f"{potential} is not a potential")
     return [f"H_{potential}", *_POTENTIALS[potential][2]]
 

@@ -186,8 +186,6 @@ def _run_catalog(args, parser) -> int:
 
 def _run_simulate(args, parser) -> int:
     potential = _entry(args.potential, parser)
-    if potential.kind != "potential":
-        parser.error(f"{args.potential} is not a potential")
     pieces = args.start.split(",")
     if len(pieces) != 4:
         parser.error("--start must be four comma-separated numbers x,y,px,py")
@@ -208,14 +206,13 @@ def _run_simulate(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.invariants:
-        inv_names = [n.strip() for n in args.invariants.split(",") if n.strip()]
-    else:
-        inv_names = catalog.invariants(args.potential)
-    invariants = [_entry(n, parser) for n in inv_names]
-
     try:
-        traj = integrate(potential, start, cfg, invariants)
+        # an explicit empty list tracks nothing, however it is spelled
+        if args.invariants is not None:
+            inv_names = [n.strip() for n in args.invariants.split(",") if n.strip()]
+        else:
+            inv_names = catalog.invariants(args.potential)
+        traj = integrate(potential, start, cfg, [_entry(n, parser) for n in inv_names])
     except TrajectoryAborted as exc:
         print(f"trajectory aborted: {exc}", file=sys.stderr)
         return 3

@@ -478,40 +478,34 @@ class VectorField(NamedTuple):
 
     @property
     def is_zero(self) -> bool:
-        return (self.cx.is_zero and self.cy.is_zero
-                and self.cpx.is_zero and self.cpy.is_zero)
+        return all(c.is_zero for c in self)
 
     @property
     def momentum_order(self) -> int:
-        return max(c.momentum_order for c in self.components())
-
-    def components(self) -> tuple[PhasePoly, PhasePoly, PhasePoly, PhasePoly]:
-        return (self.cx, self.cy, self.cpx, self.cpy)
+        return max(c.momentum_order for c in self)
 
     def apply(self, f: PhasePoly) -> PhasePoly:
         """Directional derivative of f along the field (y via the u chain rule)."""
         f = _scaled(f.terms)
         return PhasePoly._sum_of_products(
             (1, _scaled(c.terms), _partial(f, var))
-            for c, var in zip(self.components(), ("x", "y", "px", "py")))
+            for c, var in zip(self, ("x", "y", "px", "py")))
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):
             return NotImplemented
-        return VectorField(self.cx - other.cx, self.cy - other.cy,
-                           self.cpx - other.cpx, self.cpy - other.cpy)
+        return VectorField(*(a - b for a, b in zip(self, other)))
 
     def __mul__(self, scalar) -> "VectorField":
         if not isinstance(scalar, (PhasePoly, int, Fraction)):
             return NotImplemented
-        return VectorField(self.cx * scalar, self.cy * scalar,
-                           self.cpx * scalar, self.cpy * scalar)
+        return VectorField(*(c * scalar for c in self))
 
     __rmul__ = __mul__
 
     def render(self) -> str:
         names = ("dx/dt", "dy/dt", "dpx/dt", "dpy/dt")
-        return "; ".join(f"{n} = {c.render()}" for n, c in zip(names, self.components()))
+        return "; ".join(f"{n} = {c.render()}" for n, c in zip(names, self))
 
     def __str__(self) -> str:
         return self.render()
@@ -532,7 +526,4 @@ def hamiltonian_vf(f: PhasePoly) -> VectorField:
 
 def vf_commutator(a: VectorField, b: VectorField) -> VectorField:
     """[a, b], componentwise a(b_i) - b(a_i)."""
-    return VectorField(a.apply(b.cx) - b.apply(a.cx),
-                       a.apply(b.cy) - b.apply(a.cy),
-                       a.apply(b.cpx) - b.apply(a.cpx),
-                       a.apply(b.cpy) - b.apply(a.cpy))
+    return VectorField(*(a.apply(bi) - b.apply(ai) for ai, bi in zip(a, b)))

@@ -35,8 +35,8 @@ class Check(NamedTuple):
     description: str
     citation: str
     passed: bool
-    residual_rendered: str | None  # canonical text, only when failed
-    millis: float  # the claim's whole cost, set by full_suite; 0.0 from a lone check
+    residual: str | None  # canonical text, only when failed
+    millis: float  # the claim's whole cost, entry builds included
 
 
 class VerificationReport(NamedTuple):
@@ -53,17 +53,7 @@ class VerificationReport(NamedTuple):
             "schema_version": SCHEMA_VERSION,
             "holtkit_version": __version__,
             "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "id": c.id,
-                    "description": c.description,
-                    "citation": c.citation,
-                    "passed": c.passed,
-                    "residual": c.residual_rendered,
-                    "millis": c.millis,
-                }
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -74,7 +64,7 @@ class VerificationReport(NamedTuple):
             status = "PASS" if c.passed else "FAIL"
             line = f"{status}  {c.id}: {c.description}"
             if not c.passed:
-                line += f"  [residual: {c.residual_rendered}]"
+                line += f"  [residual: {c.residual}]"
             lines.append(line)
         verdict = "all checks passed" if self.all_passed else "VERIFICATION FAILED"
         lines.append(f"{sum(c.passed for c in self.checks)}/{len(self.checks)} passed; {verdict}")
@@ -86,20 +76,14 @@ def _failure(residual: PhasePoly | VectorField) -> str | None:
     return None if residual.is_zero else residual.render()
 
 
-def _verdict(id: str, description: str, citation: str, failure: str | None) -> Check:
-    """The Check of a claim that holds iff failure is None; full_suite sets millis."""
-    return Check(id, description, citation, failure is None, failure, 0.0)
+def check_conserved(J: PhasePoly, H: PhasePoly) -> str | None:
+    """None if {J, H} = 0, else the residual's text."""
+    return _failure(poisson_bracket(J, H))
 
 
-def check_conserved(J: PhasePoly, H: PhasePoly, *, id: str = "conserved",
-                    description: str = "{J, H} = 0", citation: str = "") -> Check:
-    return _verdict(id, description, citation, _failure(poisson_bracket(J, H)))
-
-
-def check_identity(lhs: PhasePoly | VectorField, rhs: PhasePoly | VectorField, *,
-                   id: str = "identity", description: str = "lhs = rhs",
-                   citation: str = "") -> Check:
-    return _verdict(id, description, citation, _failure(lhs - rhs))
+def check_identity(lhs: PhasePoly | VectorField, rhs: PhasePoly | VectorField) -> str | None:
+    """None if lhs = rhs, else the text of lhs - rhs."""
+    return _failure(lhs - rhs)
 
 
 # a field relation is the same exact zero test, componentwise
@@ -107,11 +91,9 @@ check_vf_relation = check_identity
 
 
 def check_lie_closure(basis: Mapping[str, PhasePoly],
-                      claimed_brackets: Mapping[tuple[str, str], PhasePoly], *,
-                      id: str = "lie_closure",
-                      description: str = "bracket table closes",
-                      citation: str = "") -> Check:
-    """Verify every pairwise bracket against the claimed table.
+                      claimed_brackets: Mapping[tuple[str, str], PhasePoly]) -> str | None:
+    """Verify every pairwise bracket against the claimed table: None if it
+    closes, else every pair that is off, with its residual.
 
     Each unordered pair must be claimed in exactly one orientation (the
     other is implied by antisymmetry).  A missing pair, a pair claimed both
@@ -140,7 +122,7 @@ def check_lie_closure(basis: Mapping[str, PhasePoly],
             failure = _failure(poisson_bracket(basis[na], basis[nb]) - claimed)
             if failure is not None:
                 failures.append(f"{{{na}, {nb}}} off by {failure}")
-    return _verdict(id, description, citation, "; ".join(failures) or None)
+    return "; ".join(failures) or None
 
 
 def _conserved(J: str, V: str, citation: str, note: str = "") -> tuple:
@@ -240,11 +222,8 @@ def full_suite(entries: Mapping[str, "catalog.CatalogEntry"] | None = None) -> V
     for id, description, citation, kind, operands in CLAIMS:
         t0 = time.perf_counter()
         # looked up per run, so a wrapper installed on the module sees the call
-        check = globals()[f"check_{kind}"](*operands(get), id=id,
-                                            description=description, citation=citation)
-        # not check._replace: it builds the record from a map of unknown length,
-        # and every tuple it resizes ends on CPython's free list of 6-tuples,
-        # which then holds 2000 of them (0.17 MB) for the rest of the process
-        checks.append(Check(*check[:-1], (time.perf_counter() - t0) * 1000.0))
+        failure = globals()[f"check_{kind}"](*operands(get))
+        checks.append(Check(id, description, citation, failure is None, failure,
+                            (time.perf_counter() - t0) * 1000.0))
     get.cache_clear()  # get refers to itself, so free the entries without waiting for gc
     return VerificationReport(tuple(checks))

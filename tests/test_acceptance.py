@@ -198,8 +198,8 @@ def test_11_fault_injection_on_cubic_integral():
         for cid in ("conserved_K2_3", "bracket_K3_K2", "relation_K4_6"):
             check = by_id[cid]
             ok &= (not check.passed
-                   and check.residual_rendered is not None
-                   and check.residual_rendered != "0")
+                   and check.residual is not None
+                   and check.residual != "0")
     assert _verdict(11, ok, "every single-term sign flip in K2_3 breaks "
                             "conservation, the 108*k2^3 bracket, and the "
                             "sextic relation, each with a rendered residual")

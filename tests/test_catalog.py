@@ -134,3 +134,9 @@ def test_invariants_are_conserved_by_their_potential():
     assert sorted(listed) == sorted(n for n in catalog.names()
                                     if catalog.build(n).kind == "integral")
     assert catalog.invariants("U") == ["H_U", "K2_3", "K3_4", "K4_6"]
+
+
+def test_invariants_of_a_non_potential_are_a_value_error():
+    for name in ("H_U", "K2_3", "X2"):
+        with pytest.raises(ValueError, match=f"^{name} is not a potential$"):
+            catalog.invariants(name)

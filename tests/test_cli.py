@@ -377,6 +377,17 @@ def test_simulate_invariant_selection(capsys):
     assert "K2_3" not in out
 
 
+def test_simulate_tracks_no_invariant_when_the_list_is_empty(capsys):
+    outs = [run(capsys, "simulate", "--potential", "U", "--k2", "1",
+                "--start", "0,1,0.5,0.5", "--h", "0.05", "--t-end", "0.1",
+                "--invariants", names) for names in ("", ",")]
+    assert outs[0] == outs[1]
+    code, out, _ = outs[0]
+    assert code == 0
+    assert out.splitlines()[0] == "t\tx\ty\tpx\tpy"
+    assert "drift" not in out
+
+
 def test_simulate_tracks_a_repeated_invariant_twice(capsys):
     code, out, _ = run(capsys, "simulate", "--potential", "U", "--k2", "1",
                        "--start", "0,1,0.5,0.5", "--h", "0.05", "--t-end", "0.1",

@@ -153,7 +153,7 @@ def test_round_trip_on_catalog_expressions():
     from holtkit import catalog
     for name in catalog.names():
         expr = catalog.build(name).expression
-        parts = (expr,) if isinstance(expr, PhasePoly) else expr.components()
+        parts = (expr,) if isinstance(expr, PhasePoly) else expr
         for part in parts:
             assert parse_expression(part.render()) == part, name
 

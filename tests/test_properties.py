@@ -160,7 +160,7 @@ def test_the_kernel_matches_a_pairwise_fraction_loop(f, g, h, k):
         assert _same_terms(poisson_bracket(a, b), _pairwise(_bracket_products(a, b)))
     field = VectorField(f, g, h, k)
     assert _same_terms(field.apply(h), _pairwise(
-        [(1, c, h.diff(var)) for c, var in zip(field.components(), ("x", "y", "px", "py"))]))
+        [(1, c, h.diff(var)) for c, var in zip(field, ("x", "y", "px", "py"))]))
     assert hamiltonian_vf(f).apply(f).is_zero
 
 

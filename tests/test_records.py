@@ -43,7 +43,7 @@ REPRS = {
                     "expression=PhasePoly('k2*x*u^-2 + k3*u^-2'), momentum_order=0, "
                     "source='Post and Winternitz (2011)')",
     "Check": "Check(id='c', description='d', citation='src', passed=False, "
-             "residual_rendered='x', millis=1.5)",
+             "residual='x', millis=1.5)",
     "VectorField": "VectorField(cx=PhasePoly('x'), cy=PhasePoly('px'), "
                    "cpx=PhasePoly('-x'), cpy=PhasePoly('0'))",
     "SimConfig": "SimConfig(h=0.25, t_end=0.5, integrator='leapfrog2', y_min=1e-06, "
