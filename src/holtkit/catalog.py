@@ -20,8 +20,12 @@ class CatalogEntry(NamedTuple):
     name: str
     kind: str  # potential | hamiltonian | integral | vectorfield
     expression: PhasePoly | VectorField
-    momentum_order: int
     source: str
+
+    @property
+    def momentum_order(self) -> int:
+        """The expression's own momentum order, so a _replace copy stays right."""
+        return self.expression.momentum_order
 
 
 # the kinetic term of every Hamiltonian
@@ -111,7 +115,7 @@ def build(name: str, get: Callable[[str], PhasePoly] | None = None) -> CatalogEn
             expr = VectorField(*map(parse_expression, spec))
     else:
         raise KeyError(f"unknown catalog name {name!r}; see names()")
-    return CatalogEntry(name, kind, expr, expr.momentum_order, source)
+    return CatalogEntry(name, kind, expr, source)
 
 
 def invariants(potential: str) -> list[str]:

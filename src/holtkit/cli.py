@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="catalog potential name (e.g. U, V_h1)")
     p_sim.add_argument("--start", required=True, metavar="X,Y,PX,PY",
                        help="initial phase-space point")
-    p_sim.add_argument("--h", type=float, default=1e-3, help="time step")
-    p_sim.add_argument("--t-end", type=float, default=1.0, dest="t_end")
+    p_sim.add_argument("--h", type=float, help="time step")
+    p_sim.add_argument("--t-end", type=float, dest="t_end")
     p_sim.add_argument("--integrator", choices=INTEGRATORS)
     p_sim.add_argument("--y-min", type=float, dest="y_min",
                        help="abort guard for the y > 0 domain")

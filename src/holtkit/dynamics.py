@@ -3,10 +3,11 @@
 Forces come from symbolic differentiation of the catalog potential,
 compiled once per run into one evaluator for both components; there is no
 numerical differentiation anywhere.  A run is recorded as float columns:
-the steps fill t, x, y, px and py, then one generated pass evaluates every
-tracked invariant once per sample into a column of its own; the table and
-the drift report only read them.  Fixed step only: the convergence study
-needs clean order estimates.
+the steps fill t, x, y, px and py, then one generated function evaluates
+every tracked invariant once per sample into one shared column, of which
+each invariant reads a strided view; the table and the drift report only
+read them.  Fixed step only: the convergence study needs clean order
+estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .catalog import CatalogEntry
-from .phasepoly import DomainError, PhasePoly, compile_all, sample_all
+from .phasepoly import DomainError, PhasePoly, compile_all
 
 INTEGRATORS = ("leapfrog2", "composed4")
 
@@ -69,8 +70,8 @@ class PhasePoint(_Coordinates):
 
 
 class _SimFields(NamedTuple):
-    h: float
-    t_end: float
+    h: float = 1e-3
+    t_end: float = 1.0
     integrator: str = "leapfrog2"
     y_min: float = 1e-6
     k1: float = 0.0
@@ -79,7 +80,8 @@ class _SimFields(NamedTuple):
 
 
 class SimConfig(_SimFields):
-    """Step, duration, integrator, y guard and parameters of one run, checked."""
+    """Step, duration, integrator, y guard and parameters of one run, checked;
+    the defaults are the ones `holtkit simulate` uses."""
 
     __slots__ = ()
 
@@ -210,9 +212,13 @@ def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,
         append_px(px)
         append_py(py)
     times = array("d", map(h.__mul__, range(n_steps + 1)))  # sample i is at i * h
-    tracked = sample_all([e.expression for e in entries], zip(*state), cfg.k1, cfg.k2, cfg.k3)
+    evaluate = compile_all([e.expression for e in entries], cfg.k1, cfg.k2, cfg.k3)
+    # every invariant's value at each sample in turn; each invariant's column
+    # is a strided view of this one array
+    values = memoryview(array("d", chain.from_iterable(map(evaluate, *state)))).toreadonly()
     return Trajectory((*_STATE, *(e.name for e in entries)),
-                      tuple(memoryview(c).toreadonly() for c in (times, *state, *tracked)))
+                      (*(memoryview(c).toreadonly() for c in (times, *state)),
+                       *(values[i::len(entries)] for i in range(len(entries)))))
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

@@ -340,27 +340,32 @@ def _overflow(x, y, px, py) -> DomainError:
 _SUM_CHUNK = 500
 
 
-def _emit(term_lists: Sequence[FloatTerms]) -> tuple[list[str], dict]:
-    """The statements that set s0, s1, ... to what PhasePoly.evaluate's loop
-    computes over each list of terms at the point (x, y, px, py), unindented,
-    and the globals they read.
+def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
+                k3: float = 0.0) -> Callable[[float, float, float, float], tuple]:
+    """One generated function of (x, y, px, py) returning the tuple of the
+    polynomials' values at fixed parameters.
 
-    They take the cube root of y once, and each distinct power (u**-2,
-    px**2, ...) once, into a local that every term of every list reuses:
-    the same float the loop's own `**` gives, and an overflow still raises.
-    A factor with exponent 0 (the float 1.0) or 1 (the base itself) is left
+    Each value is bit for bit what PhasePoly.evaluate's loop gives, and a
+    point outside the domain raises the same DomainError.  The function
+    takes the cube root of y once, and each distinct power (u**-2, px**2,
+    ...) once, into a local that every term of every polynomial reuses: the
+    same float the loop's own `**` gives, and an overflow still raises.  A
+    factor with exponent 0 (the float 1.0) or 1 (the base itself) is left
     out, which is exact.  Each sum keeps the term order and 0.0 as its first
     operand (so -0.0 terms still sum to 0.0), and each product keeps the
     factor order c * x * u * px * py.  The coefficients are the globals c0,
     c1, ..., not printed literals, because a folded one can be inf or nan.
-    With no lists at all there are no statements, and so no y check.
+    A simulate run calls one such function per substep for its two forces,
+    and one per sample for its invariants.  With no polynomials it returns
+    () for any point, with no y check, as the empty tuple of evaluate calls
+    does.
     """
     coeffs: list[float] = []
     powers: dict[str, str] = {}  # local name -> power expression
     sums = []
-    for i, terms in enumerate(term_lists):
+    for i, p in enumerate(polys):
         products = []
-        for c, *exponents in terms:
+        for c, *exponents in p._fold(k1, k2, k3):
             factors = [f"c{len(coeffs)}"]
             coeffs.append(c)
             for var, e in zip(("x", "u", "px", "py"), exponents):
@@ -371,76 +376,26 @@ def _emit(term_lists: Sequence[FloatTerms]) -> tuple[list[str], dict]:
                     powers[name] = f"{var}**{e}"
                     factors.append(name)
             products.append(" * ".join(factors))
-        sums.append(f"    s{i} = 0.0")
-        sums += [f"    s{i} = s{i} + {' + '.join(products[j:j + _SUM_CHUNK])}"
+        sums.append(f"        s{i} = 0.0")
+        sums += [f"        s{i} = s{i} + {' + '.join(products[j:j + _SUM_CHUNK])}"
                  for j in range(0, len(products), _SUM_CHUNK)]
+    lines = ["def evaluate(x, y, px, py):"]
+    if polys:
+        lines += ["    if y <= 0.0:",
+                  "        raise _nonpositive_y(y)",
+                  "    u = y ** (1.0 / 3.0)",
+                  "    try:",
+                  *(f"        {name} = {power}" for name, power in powers.items()),
+                  *sums,
+                  "    except OverflowError:",
+                  "        raise _overflow(x, y, px, py) from None"]
+    lines.append(f"    return ({''.join(f's{i}, ' for i in range(len(polys)))})")
     namespace = {f"c{i}": c for i, c in enumerate(coeffs)}
-    if not term_lists:
-        return [], namespace
-    return ["if y <= 0.0:",
-            "    raise _nonpositive_y(y)",
-            "u = y ** (1.0 / 3.0)",
-            "try:",
-            *(f"    {name} = {power}" for name, power in powers.items()),
-            *sums,
-            "except OverflowError:",
-            "    raise _overflow(x, y, px, py) from None"], namespace
-
-
-def _define(lines: list[str], namespace: dict, name: str) -> Callable:
-    """The function called name that the source lines define, run with the
-    globals of namespace and the two DomainError builders."""
     namespace.update(_nonpositive_y=_nonpositive_y, _overflow=_overflow)
     exec("\n".join(lines), namespace)
     # popped, so that the function and its globals form no cycle and are
     # freed as soon as the caller drops the function
-    return namespace.pop(name)
-
-
-def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
-                k3: float = 0.0) -> Callable[[float, float, float, float], tuple]:
-    """One generated function of (x, y, px, py) returning the tuple of the
-    polynomials' values at fixed parameters.
-
-    Each value is bit for bit what that polynomial's evaluate (or compile)
-    gives, and a point outside the domain raises the same DomainError.
-    The polynomials share one cube root of y and one table of powers per
-    call, which is why a simulate run evaluates its two forces through one
-    call per substep.  With no polynomials it returns () for any point, as
-    the empty tuple of evaluate calls does.
-    """
-    body, namespace = _emit([p._fold(k1, k2, k3) for p in polys])
-    values = "".join(f"s{i}, " for i in range(len(polys)))
-    lines = ["def evaluate(x, y, px, py):",
-             *(f"    {line}" for line in body),
-             f"    return ({values})"]
-    return _define(lines, namespace, "evaluate")
-
-
-def sample_all(polys: Sequence[PhasePoly], points, k1: float = 0.0, k2: float = 0.0,
-               k3: float = 0.0) -> tuple:
-    """Every polynomial's value at every point, in one generated pass.
-
-    Returns one array('d') column per polynomial, holding what compile_all's
-    function gives at each point in turn.  The first point outside the
-    domain raises compile_all's DomainError, with the columns left
-    unfinished.
-    """
-    # imported here: only this pass uses it, and an import at the top would
-    # cost every start-up
-    from array import array
-
-    columns = tuple(array("d") for _ in polys)
-    if not polys:
-        return columns
-    body, namespace = _emit([p._fold(k1, k2, k3) for p in polys])
-    n = range(len(polys))
-    lines = [f"def sample(points, {', '.join(f'append{i}' for i in n)}):",
-             "    for x, y, px, py in points:",
-             *(f"        {line}" for line in body),
-             *(f"        append{i}(s{i})" for i in n)]
-    _define(lines, namespace, "sample")(points, *(column.append for column in columns))
-    return columns
+    return namespace.pop("evaluate")
 
 
 # generators for building expressions algebraically

@@ -176,7 +176,7 @@ def test_forces_match_the_dynamical_field():
 
 
 def test_constant_invariant_has_zero_drift():
-    one = catalog.CatalogEntry("one", "integral", PhasePoly.constant(1), 0, "unit test")
+    one = catalog.CatalogEntry("one", "integral", PhasePoly.constant(1), "unit test")
     cfg = SimConfig(h=1e-2, t_end=1.0, k2=1.0)
     traj = integrate(U, START, cfg, [one])
     report = drift_report(traj)
@@ -214,19 +214,25 @@ def test_a_hand_built_potential_must_be_momentum_free():
         integrate(entry, START, SimConfig(h=1e-2, t_end=0.5))
 
 
-def test_a_run_records_each_sample_in_a_few_dozen_bytes():
-    # five float columns hold 40 bytes a sample; the rest of the 64 is room
-    # for the arrays' over-allocation, and a tuple per step would take 232
+@pytest.mark.parametrize("names, bound", [
+    pytest.param((), 64, id="state_only"),
+    pytest.param(tuple(catalog.invariants("U")), 96, id="four_invariants"),
+])
+def test_a_run_records_each_sample_in_a_few_dozen_bytes(names, bound):
+    # five float columns hold 40 bytes a sample, and each invariant adds 8;
+    # the rest of the bound is room for the arrays' over-allocation, and a
+    # tuple per step would take 232
     import tracemalloc
 
+    tracked = [catalog.build(name) for name in names]
     tracemalloc.start()
     try:
-        traj = integrate(U, START, SimConfig(h=1e-5, t_end=1.0, k2=1.0))
+        traj = integrate(U, START, SimConfig(h=1e-5, t_end=1.0, k2=1.0), tracked)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(traj) == 100001
-    assert peak / len(traj) < 64
+    assert peak / len(traj) < bound
 
 
 def test_trajectory_table_round_trips():
@@ -281,9 +287,13 @@ def test_sampled_invariants_are_the_evaluate_loop_values(name, start, k, integra
 
 
 def test_a_trajectory_keeps_its_sampled_values_read_only():
-    traj = integrate(U, START, SimConfig(h=0.25, t_end=0.5, k2=1.0), [catalog.build("H_U")])
-    with pytest.raises(TypeError):
-        traj.columns[5][0] = 0.0
+    tracked = [catalog.build(name) for name in catalog.invariants("U")]
+    traj = integrate(U, START, SimConfig(h=0.25, t_end=0.5, k2=1.0), tracked)
+    # the invariant columns are views of one shared array
+    for column in traj.columns[5:]:
+        with pytest.raises(TypeError):
+            column[0] = 0.0
+    assert len(traj.columns) == 9
 
 
 def test_a_vector_field_cannot_be_tracked():

@@ -21,7 +21,6 @@ from holtkit.phasepoly import (
     compile_all,
     hamiltonian_vf,
     poisson_bracket,
-    sample_all,
     upow,
     vf_commutator,
 )
@@ -247,24 +246,6 @@ def test_fused_evaluator_matches_each_evaluate_loop(p, q, r, x, y, px, py, k1, k
     fused = _outcome(lambda: compile_all([p, q, r], k1, k2, k3)(*point))
     reference = _outcome(lambda: _each_evaluated([p, q, r], point, k1, k2, k3))
     assert fused == reference
-
-
-def _sampled_point_by_point(polys, points, k1, k2, k3):
-    """The fused evaluator's value columns over the points, by a plain loop."""
-    evaluate = compile_all(polys, k1, k2, k3)
-    return [list(column) for column in zip(*[evaluate(*p) for p in points])]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(parametric_polys, max_size=3),
-       st.lists(st.tuples(coordinates, heights, coordinates, coordinates), min_size=1, max_size=4),
-       coordinates, coordinates, coordinates)
-def test_sampling_pass_matches_the_fused_evaluator_point_by_point(polys, points, k1, k2, k3):
-    def sampled():
-        return [list(column) for column in sample_all(polys, points, k1, k2, k3)]
-
-    reference = _outcome(lambda: _sampled_point_by_point(polys, points, k1, k2, k3))
-    assert _outcome(sampled) == reference
 
 
 def _trajectory(*columns):

@@ -40,7 +40,7 @@ def _name(record) -> str:
 # captured from the frozen dataclasses these records used to be
 REPRS = {
     "CatalogEntry": "CatalogEntry(name='U', kind='potential', "
-                    "expression=PhasePoly('k2*x*u^-2 + k3*u^-2'), momentum_order=0, "
+                    "expression=PhasePoly('k2*x*u^-2 + k3*u^-2'), "
                     "source='Post and Winternitz (2011)')",
     "Check": "Check(id='c', description='d', citation='src', passed=False, "
              "residual='x', millis=1.5)",
@@ -72,6 +72,15 @@ def test_replace_validates_a_sim_config_as_the_constructor_does():
         SimConfig(h=0.25, t_end=1.0)._replace(h=0.3)
     assert "whole number" in str(direct.value)
     assert str(replaced.value) == str(direct.value)
+
+
+def test_a_replaced_catalog_entry_reads_the_momentum_order_of_its_new_expression():
+    cubic = catalog.build("K2_3").expression
+    assert U._replace(expression=cubic).momentum_order == cubic.momentum_order == 3
+
+
+def test_a_sim_config_has_a_default_for_every_setting():
+    assert SimConfig() == SimConfig(h=1e-3, t_end=1.0)
 
 
 def test_a_trajectory_counts_its_samples():
