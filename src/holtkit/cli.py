@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import catalog, verify
 from .dynamics import (
     INTEGRATORS,
-    PhasePoint,
     SimConfig,
     TrajectoryAborted,
     drift_report,
@@ -198,21 +197,13 @@ def _run_simulate(args, parser) -> int:
             parser.error(f"bad --start value {args.start!r}: "
                          f"could not convert string to float: {_quoted(piece)}")
     try:
-        start = PhasePoint(*coordinates)
-    except ValueError as exc:
-        parser.error(f"bad --start value {args.start!r}: {exc}")
-    try:
         cfg = SimConfig(**{n: getattr(args, n) for n in SimConfig._fields})
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    try:
         # an explicit empty list tracks nothing, however it is spelled
         if args.invariants is not None:
             inv_names = [n.strip() for n in args.invariants.split(",") if n.strip()]
         else:
             inv_names = catalog.invariants(args.potential)
-        traj = integrate(potential, start, cfg, [_entry(n, parser) for n in inv_names])
+        traj = integrate(potential, coordinates, cfg, [_entry(n, parser) for n in inv_names])
     except TrajectoryAborted as exc:
         print(f"trajectory aborted: {exc}", file=sys.stderr)
         return 3

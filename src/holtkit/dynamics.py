@@ -45,30 +45,6 @@ class TrajectoryAborted(DomainError):
         super().__init__(f"y = {y} fell to or below the guard {y_min} at t = {time}")
 
 
-class _Coordinates(NamedTuple):
-    x: float
-    y: float
-    px: float
-    py: float
-
-
-class PhasePoint(_Coordinates):
-    """A finite phase-space point (x, y, px, py): the start of a run."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, px: float, py: float):
-        point = tuple.__new__(cls, (x, y, px, py))
-        if not all(map(isfinite, point)):
-            raise DomainError(f"coordinates must be finite, got {point}")
-        return point
-
-    @classmethod
-    def _make(cls, iterable) -> "PhasePoint":
-        # _replace builds through _make; keep the check on that path too
-        return cls(*iterable)
-
-
 class _SimFields(NamedTuple):
     h: float = 1e-3
     t_end: float = 1.0
@@ -158,20 +134,26 @@ def _potential_poly(entry: CatalogEntry) -> PhasePoly:
     return entry.expression
 
 
-def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,
+def integrate(potential: CatalogEntry, start: Sequence[float], cfg: SimConfig,
               invariants: Iterable[CatalogEntry] = ()) -> Trajectory:
-    """Kick-drift-kick trajectory of H = (1/2)|p|^2 + V, sampled every step,
-    with each invariant evaluated at every sample at cfg's k1, k2, k3.
+    """Kick-drift-kick trajectory of H = (1/2)|p|^2 + V from start, the four
+    floats (x, y, px, py), sampled every step, with each invariant evaluated
+    at every sample at cfg's k1, k2, k3.
 
-    leapfrog2 is the plain KDK splitting; composed4 chains three KDK
-    substeps with weights (_C1, _C2, _C1), the middle one backward.
-    Aborts with TrajectoryAborted if y drops to y_min at any substep.
+    A start that is not finite, or whose y is at or below y_min, is a
+    ValueError.  leapfrog2 is the plain KDK splitting; composed4 chains
+    three KDK substeps with weights (_C1, _C2, _C1), the middle one
+    backward.  Aborts with TrajectoryAborted if y drops to y_min at any
+    substep, and with DomainError if the state stops being finite.
     The invariants are evaluated only once every step has been taken, so a
     y-guard abort, a non-finite state or a force overflow is raised before
     any error of theirs.
     """
-    if start.y <= cfg.y_min:
-        raise ValueError(f"start.y = {start.y} must exceed y_min = {cfg.y_min}")
+    start = x, y, px, py = tuple(start)
+    if not all(map(isfinite, start)):
+        raise ValueError(f"start = {start} must be a finite point")
+    if y <= cfg.y_min:
+        raise ValueError(f"start.y = {y} must exceed y_min = {cfg.y_min}")
     V = _potential_poly(potential)
     entries = tuple(invariants)
     for entry in entries:
@@ -186,7 +168,6 @@ def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,
     h, y_min = cfg.h, cfg.y_min
     weights = (1.0,) if cfg.integrator == "leapfrog2" else (_C1, _C2, _C1)
     n_steps = round(cfg.t_end / h)
-    x, y, px, py = start
     ax, ay = force(x, y, px, py)
 
     state = tuple(array("d", (value,)) for value in start)
@@ -206,7 +187,8 @@ def integrate(potential: CatalogEntry, start: PhasePoint, cfg: SimConfig,
             px += 0.5 * dt * ax
             py += 0.5 * dt * ay
         if not (isfinite(x) and isfinite(y) and isfinite(px) and isfinite(py)):
-            PhasePoint(x, y, px, py)  # raises the DomainError naming the state
+            raise DomainError(f"the state is not finite at t = {t}: "
+                              f"(x, y, px, py) = {(x, y, px, py)}")
         append_x(x)
         append_y(y)
         append_px(px)
@@ -235,7 +217,7 @@ def drift_report(traj: Trajectory) -> DriftReport:
     return DriftReport(tuple(drifts), len(traj))
 
 
-def convergence_order(potential: CatalogEntry, start: PhasePoint,
+def convergence_order(potential: CatalogEntry, start: Sequence[float],
                       invariant: CatalogEntry, h_list: Sequence[float],
                       cfg: SimConfig) -> float | None:
     """Observed order: least-squares slope of log(max drift) against log(h).

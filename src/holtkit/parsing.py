@@ -76,6 +76,9 @@ def parse_expression(text: str) -> PhasePoly:
     i = 1 if op in ("+", "-") else 0  # index of the next unread token
 
     def error(reason: str) -> ParseError:
+        if not tokens[i] and i + 2 == len(tokens):  # stopped at a character that starts no symbol
+            pos = len(text) - len(tokens[-1])
+            return ParseError(text, pos, f"unexpected character {text[pos]!r}")
         return ParseError(text, _start(text, i), reason)
 
     def integer() -> int:
@@ -102,8 +105,8 @@ def parse_expression(text: str) -> PhasePoly:
             if tokens[i] == "/":
                 i += 1
                 den = integer()
-                if den == 0:
-                    raise error("zero denominator")
+                if den == 0:  # an error in what was read, named before what follows
+                    raise ParseError(text, _start(text, i), "zero denominator")
             more = tokens[i] == "*"
             if not more and tokens[i] in SLOTS:
                 raise error("missing '*' after numeric coefficient")
@@ -119,8 +122,9 @@ def parse_expression(text: str) -> PhasePoly:
                 negative = tokens[i] == "-"
                 i += negative
                 exponent = -integer() if negative else integer()
-            if exponent < 0 and name != "u":
-                raise error(f"negative exponent only allowed on u, not {name}")
+            if exponent < 0 and name != "u":  # as for a zero denominator
+                reason = f"negative exponent only allowed on u, not {name}"
+                raise ParseError(text, _start(text, i), reason)
             slot, scale = SLOTS[name]
             exponents[slot] += scale * exponent
             more = tokens[i] == "*"

@@ -13,7 +13,6 @@ import pytest
 
 from holtkit import catalog, verify
 from holtkit.dynamics import (
-    PhasePoint,
     SimConfig,
     TrajectoryAborted,
     convergence_order,
@@ -135,7 +134,7 @@ def test_09_algebraic_property_suite(report):
 def test_10_numeric_corroboration():
     t_start = time.perf_counter()
     U = catalog.build("U")
-    start = PhasePoint(0.0, 1.0, 0.5, 0.5)
+    start = (0.0, 1.0, 0.5, 0.5)
     hs = [4e-3, 2e-3, 1e-3, 5e-4]
 
     # The configured orbit cannot reach t = 10: it falls into the y = 0
@@ -162,11 +161,11 @@ def test_10_numeric_corroboration():
     worst_rev = 0.0
     for integ in windows:
         cfg = SimConfig(h=1e-3, t_end=5.5, integrator=integ, k2=1.0)
-        e = PhasePoint(*(c[-1] for c in integrate(U, start, cfg).columns[1:5]))
-        back = integrate(U, PhasePoint(e.x, e.y, -e.px, -e.py), cfg)
-        b = PhasePoint(*(c[-1] for c in back.columns[1:5]))
-        err = max(abs(b.x - start.x), abs(b.y - start.y),
-                  abs(-b.px - start.px), abs(-b.py - start.py))
+        x, y, px, py = (c[-1] for c in integrate(U, start, cfg).columns[1:5])
+        back = integrate(U, (x, y, -px, -py), cfg)
+        bx, by, bpx, bpy = (c[-1] for c in back.columns[1:5])
+        sx, sy, spx, spy = start
+        err = max(abs(bx - sx), abs(by - sy), abs(-bpx - spx), abs(-bpy - spy))
         worst_rev = max(worst_rev, err)
         reversibility_ok &= err <= 1e-9
 

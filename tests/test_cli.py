@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import re
+import shlex
 import threading
 from pathlib import Path
 
@@ -190,7 +192,8 @@ USAGE = "usage: holtkit [-h] {verify,bracket,catalog,simulate} ...\n"
 UNKNOWN_NOPE = "\"unknown catalog name 'nope'; see names()\""
 
 
-# the error lines for short arguments, as written before long ones were cut
+# the error lines for short arguments, as written before long ones were cut;
+# integrate refuses a non-finite start, after the settings are checked
 @pytest.mark.parametrize("argv, line", [
     (("catalog", "show", "nope"), UNKNOWN_NOPE),
     (("simulate", "--potential", "nope", "--start", "0,1,0,0"), UNKNOWN_NOPE),
@@ -201,8 +204,7 @@ UNKNOWN_NOPE = "\"unknown catalog name 'nope'; see names()\""
     (("simulate", "--potential", "U", "--start", "0,1,0, zz "),
      "bad --start value '0,1,0, zz ': could not convert string to float: ' zz '"),
     (("simulate", "--potential", "U", "--start", "0,nan,0,0"),
-     "bad --start value '0,nan,0,0': coordinates must be finite, got "
-     "PhasePoint(x=0.0, y=nan, px=0.0, py=0.0)"),
+     "start = (0.0, nan, 0.0, 0.0) must be a finite point"),
 ], ids=["show", "potential", "invariants", "quote", "start", "start-spaces", "start-nan"])
 def test_short_rejected_arguments_keep_their_error_line(capsys, argv, line):
     with pytest.raises(SystemExit) as exc_info:
@@ -419,12 +421,12 @@ def test_simulate_blow_up_is_a_domain_error(tmp_path, capsys, extra, cause):
     assert err.count("\n") == 1
 
 
-# every exit-3 message in full, as the per-polynomial evaluators wrote it;
-# the fused evaluator and tuple points must leave each one unchanged
+# every exit-3 message in full; a non-finite state and a y-guard abort
+# name the time of the step
 EXIT_3_RUNS = [
     (("--start", "0,1,0,0", "--k2", "1e308", "--t-end", "0.01"),
-     "domain error: coordinates must be finite, got PhasePoint("
-     "x=-4.999999999999999e+301, y=1.0, px=-1e+305, py=-inf)\n"),
+     "domain error: the state is not finite at t = 0.001: (x, y, px, py) = "
+     "(-4.999999999999999e+301, 1.0, -1e+305, -inf)\n"),
     (("--start", "0,1,0,0", "--k3", "1e300", "--t-end", "0.01"),
      "domain error: evaluation overflows at (x, y, px, py) = "
      "(0.0, 3.333333333333333e+293, 0.0, 3.3333333333333334e+296)\n"),
@@ -520,3 +522,40 @@ def test_unknown_subcommand_is_an_argument_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
     assert exc_info.value.code == 2
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+# the README's code blocks: (language, body)
+README_BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+
+
+def _readme_commands():
+    """(argv, the output lines shown after it) for each `$ holtkit` line of
+    the README, its backslash continuations joined and its comment dropped."""
+    commands = []
+    for _, body in README_BLOCKS:
+        for command in re.split(r"^\$ ", body.replace("\\\n", " "), flags=re.MULTILINE)[1:]:
+            line, *shown = command.splitlines()
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "holtkit", line
+            commands.append((argv[1:], [text for text in shown if text != "..."]))
+    return commands
+
+
+def test_the_readme_python_example_prints_what_it_says(capsys):
+    (code,) = [body for language, body in README_BLOCKS if language == "python"]
+    exec(code, {})
+    assert capsys.readouterr().out == "108*k2^3\n4\n"
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv, shown", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_each_readme_command_prints_the_lines_it_shows(capsys, argv, shown):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = iter(out.splitlines())
+    # each shown line appears in stdout, after the one before it
+    assert [text for text in shown if text not in lines] == []

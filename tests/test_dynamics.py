@@ -13,7 +13,6 @@ import pytest
 from holtkit import catalog
 from holtkit.dynamics import (
     InvariantDrift,
-    PhasePoint,
     SimConfig,
     TrajectoryAborted,
     convergence_order,
@@ -24,13 +23,13 @@ from holtkit.dynamics import (
 from holtkit.phasepoly import DomainError, PhasePoly
 
 U = catalog.build("U")
-START = PhasePoint(0.0, 1.0, 0.5, 0.5)
+START = (0.0, 1.0, 0.5, 0.5)
 COLLISION_TIME = 5.8696  # established by step refinement and an adaptive check
 
 
 def _end(traj):
-    """The last sampled point of a run."""
-    return PhasePoint(*(column[-1] for column in traj.columns[1:5]))
+    """The last sampled point of a run, (x, y, px, py)."""
+    return tuple(column[-1] for column in traj.columns[1:5])
 
 
 def test_simconfig_validation():
@@ -70,24 +69,21 @@ def test_simconfig_rejects_a_step_count_too_large_to_count(h, t_end):
     assert len(str(exc_info.value)) < 120  # the ratio printed as a float
 
 
-@pytest.mark.parametrize("coords", [(float("nan"), 1.0, 0.0, 0.0),
-                                    (0.0, float("inf"), 0.0, 0.0),
-                                    (0.0, 1.0, float("-inf"), float("nan"))])
-def test_phase_point_rejects_non_finite_coordinates(coords):
-    with pytest.raises(ValueError, match="finite"):
-        PhasePoint(*coords)
+@pytest.mark.parametrize("coords, text", [
+    ((float("nan"), 1.0, 0.0, 0.0), "(nan, 1.0, 0.0, 0.0)"),
+    ((0.0, float("inf"), 0.0, 0.0), "(0.0, inf, 0.0, 0.0)"),
+    ((0.0, 1.0, float("-inf"), float("nan")), "(0.0, 1.0, -inf, nan)"),
+])
+def test_integrate_refuses_a_non_finite_start(coords, text):
+    with pytest.raises(ValueError) as exc_info:
+        integrate(U, coords, SimConfig(h=0.25, t_end=0.5))
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == f"start = {text} must be a finite point"
 
 
-def test_phase_point_is_a_checked_tuple_with_the_dataclass_repr():
-    point = PhasePoint(0.5, y=1.0, px=-2.0, py=0)
-    assert point == (0.5, 1.0, -2.0, 0) and (point.y, point.py) == (1.0, 0)
-    assert repr(point) == "PhasePoint(x=0.5, y=1.0, px=-2.0, py=0)"
-    with pytest.raises(DomainError) as exc_info:
-        PhasePoint(0.5, 1.0, float("-inf"), float("nan"))
-    assert str(exc_info.value) == ("coordinates must be finite, "
-                                   "got PhasePoint(x=0.5, y=1.0, px=-inf, py=nan)")
-    with pytest.raises(DomainError, match="finite"):
-        point._replace(x=float("inf"))
+def test_a_start_is_any_four_floats_and_is_sample_0():
+    traj = integrate(U, [0.5, 1.0, -2.0, 0], SimConfig(h=0.25, t_end=0.5))
+    assert [column[0] for column in traj.columns[:5]] == [0.0, 0.5, 1.0, -2.0, 0.0]
 
 
 def test_a_trajectory_names_its_columns_and_keeps_them_read_only():
@@ -103,24 +99,24 @@ def test_a_trajectory_names_its_columns_and_keeps_them_read_only():
 
 
 def test_start_must_clear_the_guard():
-    with pytest.raises(ValueError):
-        integrate(U, PhasePoint(0.0, 1e-7, 0.0, 0.0), SimConfig(h=1e-3, t_end=1.0))
+    with pytest.raises(ValueError, match=r"^start\.y = 1e-07 must exceed y_min = 1e-06$"):
+        integrate(U, (0.0, 1e-7, 0.0, 0.0), SimConfig(h=1e-3, t_end=1.0))
 
 
 def test_free_case_is_exact():
     cfg = SimConfig(h=1e-3, t_end=1.0)
-    traj = integrate(U, PhasePoint(0.0, 1.0, 0.5, 0.0), cfg)
+    traj = integrate(U, (0.0, 1.0, 0.5, 0.0), cfg)
     assert len(traj) == 1001
-    end = _end(traj)
-    assert end.x == pytest.approx(0.5, abs=1e-12)
-    assert end.y == 1.0
-    assert end.px == 0.5 and end.py == 0.0
+    x, y, px, py = _end(traj)
+    assert x == pytest.approx(0.5, abs=1e-12)
+    assert y == 1.0
+    assert px == 0.5 and py == 0.0
 
 
 def test_free_case_convergence_is_degenerate():
     cfg = SimConfig(h=1e-3, t_end=1.0)
     H = catalog.build("H_U")
-    order = convergence_order(U, PhasePoint(0.0, 1.0, 0.5, 0.0), H,
+    order = convergence_order(U, (0.0, 1.0, 0.5, 0.0), H,
                               [4e-3, 2e-3, 1e-3], cfg)
     assert order is None
 
@@ -129,13 +125,13 @@ def test_time_reversibility_both_integrators():
     for integ in ("leapfrog2", "composed4"):
         cfg = SimConfig(h=1e-3, t_end=5.5, integrator=integ, k2=1.0)
         fwd = integrate(U, START, cfg)
-        e = _end(fwd)
-        back = integrate(U, PhasePoint(e.x, e.y, -e.px, -e.py), cfg)
-        b = _end(back)
-        assert abs(b.x - START.x) <= 1e-9
-        assert abs(b.y - START.y) <= 1e-9
-        assert abs(-b.px - START.px) <= 1e-9
-        assert abs(-b.py - START.py) <= 1e-9
+        x, y, px, py = _end(fwd)
+        bx, by, bpx, bpy = _end(integrate(U, (x, y, -px, -py), cfg))
+        x0, y0, px0, py0 = START
+        assert abs(bx - x0) <= 1e-9
+        assert abs(by - y0) <= 1e-9
+        assert abs(-bpx - px0) <= 1e-9
+        assert abs(-bpy - py0) <= 1e-9
 
 
 def test_baseline_run_completes_with_bounded_drift():
@@ -220,18 +216,19 @@ def test_a_hand_built_potential_must_be_momentum_free():
 ])
 def test_a_run_records_each_sample_in_a_few_dozen_bytes(names, bound):
     # five float columns hold 40 bytes a sample, and each invariant adds 8;
-    # the rest of the bound is room for the arrays' over-allocation, and a
-    # tuple per step would take 232
+    # the rest of the bound is room for the arrays' over-allocation and the
+    # run's fixed costs, and a tuple per step would take 232.  At 20,001
+    # samples the two runs read about 43 and 75 bytes a sample
     import tracemalloc
 
     tracked = [catalog.build(name) for name in names]
     tracemalloc.start()
     try:
-        traj = integrate(U, START, SimConfig(h=1e-5, t_end=1.0, k2=1.0), tracked)
+        traj = integrate(U, START, SimConfig(h=5e-5, t_end=1.0, k2=1.0), tracked)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj) == 100001
+    assert len(traj) == 20001
     assert peak / len(traj) < bound
 
 
@@ -244,10 +241,9 @@ def test_trajectory_table_round_trips():
     assert len(lines) == 1 + len(traj)
     row = lines[1].split("\t")
     assert float(row[0]) == 0.0
-    assert float(row[2]) == START.y
+    assert float(row[2]) == START[1]
     H0 = float(row[5])
-    assert H0 == catalog.build("H_U").expression.evaluate(
-        START.x, START.y, START.px, START.py, k2=1.0, k3=0.5)
+    assert H0 == catalog.build("H_U").expression.evaluate(*START, k2=1.0, k3=0.5)
 
 
 def test_domain_error_type_hierarchy():
@@ -257,7 +253,7 @@ def test_domain_error_type_hierarchy():
 
 # the settings of the golden simulate runs in tests/test_cli.py
 GOLDEN_SETTINGS = [
-    ("V_h3_k", PhasePoint(0.5, 1.0, 0.5, 6.0), dict(k1=0.5, k2=0.25, k3=0.125)),
+    ("V_h3_k", (0.5, 1.0, 0.5, 6.0), dict(k1=0.5, k2=0.25, k3=0.125)),
     ("U", START, dict(k2=1.0)),
 ]
 

@@ -64,7 +64,9 @@ def test_rejects_malformed_text():
 
 
 # (text, pos, reason): the diagnostics are part of the parser's contract;
-# pos is where the whitespace before the offending token starts
+# pos is where the whitespace before the offending token starts, or, where
+# reading stops at a character that starts no symbol, that character, which
+# the reason names
 MALFORMED = [
     ("", 0, "expected term"),
     ("   ", 0, "expected term"),
@@ -88,33 +90,33 @@ MALFORMED = [
     ("y^-2", 4, "negative exponent only allowed on u, not y"),
     ("k1^-1", 5, "negative exponent only allowed on u, not k1"),
     ("x^-1", 4, "negative exponent only allowed on u, not x"),
-    ("x + $", 3, "expected term"),
-    ("x & y", 1, "expected '+' or '-' between terms"),
-    ("x\u00b2", 1, "expected '+' or '-' between terms"),
+    ("x + $", 4, "unexpected character '$'"),
+    ("x & y", 2, "unexpected character '&'"),
+    ("x\u00b2", 1, "unexpected character '\u00b2'"),
     ("- -x", 1, "expected variable or parameter name"),
     ("x - - y", 3, "expected variable or parameter name"),
     ("1/2*", 4, "expected variable or parameter name"),
     # where reading stops at a character that starts no symbol
-    ("x + k4", 3, "expected term"),
-    ("x*k", 2, "expected variable or parameter name"),
-    ("k", 0, "expected term"),
+    ("x + k4", 4, "unexpected character 'k'"),
+    ("x*k", 2, "unexpected character 'k'"),
+    ("k", 0, "unexpected character 'k'"),
     ("2/3x", 3, "missing '*' after numeric coefficient"),
     ("3/4 px", 3, "missing '*' after numeric coefficient"),
-    ("u^-2 &", 4, "expected '+' or '-' between terms"),
-    ("x + y  $", 5, "expected '+' or '-' between terms"),
-    ("x &  ", 1, "expected '+' or '-' between terms"),
-    ("x\n&", 1, "expected '+' or '-' between terms"),
-    ("x\t+ &\n", 3, "expected term"),
+    ("u^-2 &", 5, "unexpected character '&'"),
+    ("x + y  $", 7, "unexpected character '$'"),
+    ("x &  ", 2, "unexpected character '&'"),
+    ("x\n&", 2, "unexpected character '&'"),
+    ("x\t+ &\n", 4, "unexpected character '&'"),
     ("x +\t", 3, "expected term"),
     ("x + -", 3, "expected variable or parameter name"),
     ("x*-1", 2, "expected variable or parameter name"),
     ("2/-3", 2, "expected integer"),
     ("x^2y", 3, "expected '+' or '-' between terms"),
-    ("12ab", 2, "expected '+' or '-' between terms"),
-    ("x_1", 1, "expected '+' or '-' between terms"),
-    ("  x  ,", 3, "expected '+' or '-' between terms"),
+    ("12ab", 2, "unexpected character 'a'"),
+    ("x_1", 1, "unexpected character '_'"),
+    ("  x  ,", 5, "unexpected character ','"),
     ("x + k12", 6, "expected '+' or '-' between terms"),
-    ("x + \u00b2", 3, "expected term"),
+    ("x + \u00b2", 4, "unexpected character '\u00b2'"),
     ("x*\u0663", 2, "expected variable or parameter name"),
 ]
 
@@ -143,10 +145,16 @@ def test_error_carries_position():
     try:
         parse_expression("x + $")
     except ParseError as exc:
-        assert exc.pos == 3
+        assert exc.pos == 4
         assert "position" in str(exc)
     else:
         pytest.fail("expected ParseError")
+    # an error in what was read is named before a character that follows it
+    for text, pos, reason in (("1/0 &", 3, "zero denominator"),
+                              ("y^-2 &", 4, "negative exponent only allowed on u, not y")):
+        with pytest.raises(ParseError) as exc_info:
+            parse_expression(text)
+        assert (exc_info.value.pos, exc_info.value.reason) == (pos, reason)
 
 
 def test_round_trip_on_catalog_expressions():

@@ -6,7 +6,6 @@ from holtkit import catalog, verify
 from holtkit.dynamics import (
     DriftReport,
     InvariantDrift,
-    PhasePoint,
     SimConfig,
     integrate,
 )
@@ -18,7 +17,7 @@ CHECK = verify.Check("c", "d", "src", False, "x", 1.5)
 FIELD = VectorField(X, PX, -X, PhasePoly.zero())
 DRIFT = InvariantDrift("H_U", 1.0, 2.5e-7)
 DRIFTS = DriftReport((DRIFT,), 3)
-TRAJECTORY = integrate(U, PhasePoint(0.0, 1.0, 0.5, 0.5), CFG)
+TRAJECTORY = integrate(U, (0.0, 1.0, 0.5, 0.5), CFG)
 
 # (record, one of its fields)
 RECORDS = [
