@@ -19,10 +19,8 @@ The names, and the Term slot each one fills, come from phasepoly.SLOTS.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .phasepoly import SLOTS, PhasePoly, Term, _term
-from .ring import accumulate
 
 # longest names first: an alternation takes the first alternative that
 # matches.  Where no symbol matches, the catch-all takes the rest of the text
@@ -93,7 +91,7 @@ def parse_expression(text: str) -> PhasePoly:
         i += 1
         return value
 
-    pairs = []
+    rows = []
     while True:
         if not tokens[i]:
             raise error("expected term")
@@ -129,11 +127,11 @@ def parse_expression(text: str) -> PhasePoly:
             exponents[slot] += scale * exponent
             more = tokens[i] == "*"
             i += more
-        pairs.append((_term(exponents), Fraction(-num if op == "-" else num, den)))
+        rows.append((_term(exponents), -num if op == "-" else num, den))
 
         op = tokens[i]
         if not op and i + 1 == len(tokens):  # read to the end of the text
-            return PhasePoly._wrap(accumulate({}, pairs))
+            return PhasePoly._from_rows(rows)
         if op not in ("+", "-"):
             raise error("expected '+' or '-' between terms")
         i += 1

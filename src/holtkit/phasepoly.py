@@ -6,10 +6,15 @@ u, fixed by y = u**3: every power y^(n/3) becomes the integer power u^n,
 the ring closes under multiplication, and d/dy acts on monomials as
 u^n -> (n/3) u^(n-3).  Only the u exponent may be negative.
 
-A PhasePoly is one flat sparse polynomial over the rationals: its terms map
-a Term, the seven exponents (x, u, px, py, k1, k2, k3), to a nonzero
-Fraction.  The couplings k1, k2, k3 are never differentiated, so equality
-to zero stays decidable and every identity check here is a proof.
+A PhasePoly is one flat sparse polynomial over the rationals, stored as
+the integer kernel (ring.sum_of_products) reads it: a positive integer
+denominator den and a dict nums from a Term, the seven exponents (x, u, px,
+py, k1, k2, k3), to a nonzero integer numerator, in lowest terms, so that
+gcd(den, *nums.values()) == 1 and zero is (1, {}).  Fractions appear only
+at the edges: the constructor's coefficients, substitute_params' values,
+and the terms mapping, built on access.  The couplings k1, k2, k3 are
+never differentiated, so equality to zero stays decidable and every
+identity check here is a proof.
 
 The Poisson bracket convention is
 
@@ -23,10 +28,12 @@ to +108 k2^3, matching the sign the catalog transcriptions assume.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .ring import Scalar, Scaled, _scaled, accumulate, sum_of_products
+from .ring import Scalar, Scaled, accumulate, sum_of_products
 
 
 class DomainError(ValueError):
@@ -89,10 +96,10 @@ def _frac(value) -> Fraction:
 
 
 def _partial(operand: Scaled, var: str) -> Scaled:
-    """The partial derivative along x, u, px, py, or y of scaled terms
-    (see ring._scaled), scaled the same way: a term's exponent e in var's
-    slot multiplies its numerator and drops by the scale, which multiplies
-    the denominator.  Distinct terms stay distinct and nonzero.
+    """The partial derivative along x, u, px, py, or y of integer
+    numerators over a denominator, in the same form: a term's exponent e in
+    var's slot multiplies its numerator and drops by the scale, which
+    multiplies the denominator.  Distinct terms stay distinct and nonzero.
     """
     i, scale = SLOTS.get(var, (_PARAM_SLOT, 0))
     if i >= _PARAM_SLOT:
@@ -103,13 +110,15 @@ def _partial(operand: Scaled, var: str) -> Scaled:
 
 
 class PhasePoly:
-    """Sparse sum of Terms with nonzero Fraction coefficients.
+    """Sparse sum of Terms with nonzero rational coefficients, stored as
+    integer numerators nums over one positive denominator den, in lowest
+    terms.
 
-    Immutable; the zero polynomial is the empty mapping and equality is
-    term-set equality.
+    Immutable; the zero polynomial is (1, {}) and equality is equality of
+    the stored pairs.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
         """Keys are Terms, or tuples of all 7 exponents."""
@@ -119,14 +128,39 @@ class PhasePoly:
                 raise ValueError(f"expected 7 exponents, got {key}")
             if min(key[:1] + key[2:]) < 0:
                 raise ValueError(f"negative exponent outside u in {key}")
-        self.terms = accumulate({}, ((_term(k), _frac(c)) for k, c in terms.items()))
+        coeffs = [(_term(k), _frac(c)) for k, c in terms.items()]
+        poly = self._from_rows((k, c.numerator, c.denominator) for k, c in coeffs)
+        self.den, self.nums = poly.den, poly.nums
 
     @classmethod
-    def _wrap(cls, terms: dict) -> "PhasePoly":
-        """Trusted constructor: keys are Terms, every value a nonzero Fraction."""
+    def _from_rows(cls, rows: Iterable[tuple[Term, int, int]]) -> "PhasePoly":
+        """The sum of (Term, numerator, denominator) rows, each denominator
+        positive; rows on one Term add up."""
+        rows = list(rows)
+        den = reduce(lcm, (d for _, _, d in rows), 1)
+        return cls._wrap(den, accumulate({}, ((k, n * (den // d)) for k, n, d in rows)))
+
+    @classmethod
+    def _wrap(cls, den: int, nums: dict) -> "PhasePoly":
+        """Trusted constructor: den > 0 and nums maps Terms to nonzero ints;
+        one gcd reduces the pair to lowest terms."""
+        # reduce, here and in _from_rows: a call that unpacks, gcd(den, *...)
+        # or lcm(*...), can leave its argument tuple on CPython's free lists,
+        # about one a call and up to 2000 of each size: 1 MB over 1000 suites
+        g = reduce(gcd, nums.values(), den)
         poly = object.__new__(cls)
-        poly.terms = terms
+        poly.den = den // g
+        poly.nums = {k: n // g for k, n in nums.items()} if g != 1 else nums
         return poly
+
+    @property
+    def terms(self) -> dict[Term, Fraction]:
+        """Term -> Fraction coefficient, a new dict on each access."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
+
+    def _operand(self) -> Scaled:
+        return self.den, self.nums.items()
 
     @classmethod
     def zero(cls) -> "PhasePoly":
@@ -144,11 +178,11 @@ class PhasePoly:
     @property
     def momentum_order(self) -> int:
         """Highest total momentum degree over all terms (0 for the zero poly)."""
-        return max((t.epx + t.epy for t in self.terms), default=0)
+        return max((t.epx + t.epy for t in self.nums), default=0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _coerce(self, other) -> "PhasePoly | None":
         if isinstance(other, PhasePoly):
@@ -161,27 +195,33 @@ class PhasePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.den == o.den and self.nums == o.nums
 
     __hash__ = None  # mutable mapping inside; identity by term set only
+
+    def _plus(self, o: "PhasePoly", sign: int) -> "PhasePoly":
+        """self + sign * o over the lcm of the two denominators."""
+        den = lcm(self.den, o.den)
+        a, b = den // self.den, sign * (den // o.den)
+        return self._wrap(den, accumulate({k: n * a for k, n in self.nums.items()},
+                                          ((k, n * b) for k, n in o.nums.items())))
 
     def __add__(self, other) -> "PhasePoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._wrap(accumulate(dict(self.terms), o.terms.items()))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PhasePoly":
-        return self._wrap({k: -c for k, c in self.terms.items()})
+        return self._wrap(self.den, {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other) -> "PhasePoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._wrap(accumulate(dict(self.terms),
-                                     ((k, -c) for k, c in o.terms.items())))
+        return self._plus(o, -1)
 
     def __rsub__(self, other) -> "PhasePoly":
         o = self._coerce(other)
@@ -193,16 +233,16 @@ class PhasePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._sum_of_products([(1, _scaled(self.terms), _scaled(o.terms))])
+        return self._sum_of_products([(1, self._operand(), o._operand())])
 
     __rmul__ = __mul__
 
     @classmethod
     def _sum_of_products(cls, triples) -> "PhasePoly":
-        """ring.sum_of_products of (sign, a, b) triples of scaled terms, with
-        one Fraction per surviving term."""
+        """ring.sum_of_products of (sign, a, b) triples of stored operands,
+        reduced with one gcd."""
         den, sums = sum_of_products(triples)
-        return cls._wrap({_term(k): Fraction(n, den) for k, n in sums.items() if n})
+        return cls._wrap(den, {_term(k): n for k, n in sums.items() if n})
 
     def __pow__(self, exponent: int) -> "PhasePoly":
         """Repeated squaring; x**0 is the constant 1."""
@@ -223,8 +263,8 @@ class PhasePoly:
         The y-derivative is the chain rule through u: a monomial u^n maps
         to (n/3) u^(n-3), which keeps the result inside the ring.
         """
-        den, terms = _partial(_scaled(self.terms), var)
-        return self._wrap({_term(k): Fraction(n, den) for k, n in terms})
+        den, terms = _partial(self._operand(), var)
+        return self._wrap(den, {_term(k): n for k, n in terms})
 
     def substitute_params(self, k1: Scalar | None = None, k2: Scalar | None = None,
                           k3: Scalar | None = None) -> "PhasePoly":
@@ -236,18 +276,19 @@ class PhasePoly:
         subs = [(i, _frac(v)) for i, v in enumerate((k1, k2, k3), _PARAM_SLOT)
                 if v is not None]
         bits = [(i, max(abs(v.numerator), v.denominator).bit_length() - 1) for i, v in subs]
-        if any(sum(key[i] * b for i, b in bits) > _SUBSTITUTION_BITS for key in self.terms):
+        if any(sum(key[i] * b for i, b in bits) > _SUBSTITUTION_BITS for key in self.nums):
             raise ValueError(f"a term's substituted powers cost over {_SUBSTITUTION_BITS} bits")
 
         def substituted():
-            for key, coeff in self.terms.items():
-                key = list(key)
+            for key, num in self.nums.items():
+                key, den = list(key), self.den
                 for i, v in subs:
-                    coeff *= v ** key[i]
+                    num *= v.numerator ** key[i]
+                    den *= v.denominator ** key[i]
                     key[i] = 0
-                yield _term(key), coeff
+                yield _term(key), num, den
 
-        return self._wrap(accumulate({}, substituted()))
+        return self._from_rows(substituted())
 
     def _fold(self, k1: float, k2: float, k3: float) -> FloatTerms:
         """The float terms at fixed parameters, sorted by monomial.
@@ -256,12 +297,13 @@ class PhasePoly:
         and a sum of 0.0 is dropped.
         """
         values: dict[tuple[int, int, int, int], float] = {}
-        for term, c in self.terms.items():
+        den = self.den
+        for term, n in self.nums.items():
             ex, eu, epx, epy, e1, e2, e3 = term
             try:
-                coeff = float(c)
+                coeff = n / den  # correctly rounded, as float(Fraction(n, den)) is
             except OverflowError:
-                raise DomainError(f"the coefficient of {self._wrap({term: 1}).render()} "
+                raise DomainError(f"the coefficient of {self._wrap(1, {term: 1}).render()} "
                                   "is too large for a float") from None
             try:
                 value = coeff * k1**e1 * k2**e2 * k3**e3
@@ -303,13 +345,14 @@ class PhasePoly:
         Terms are sorted momentum-first (epx, epy, ex, eu, then k1, k2, k3,
         all descending), one rendered term per Term.
         """
-        terms = self.terms
-        if not terms:
+        nums, den = self.nums, self.den
+        if not nums:
             return "0"
         text = ""
-        for t in sorted(terms, key=_SORT_KEY, reverse=True):
-            c = terms[t]
-            n, d = c.numerator, c.denominator
+        for t in sorted(nums, key=_SORT_KEY, reverse=True):
+            n = nums[t]
+            g = gcd(n, den)
+            n, d = n // g, den // g
             factors = [name if e == 1 else f"{name}^{e}"
                        for name, e in zip(_RENDER_NAMES, t[4:] + t[:4]) if e]
             if d != 1:
@@ -416,7 +459,7 @@ def upow(n: int) -> PhasePoly:
 
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     """{f, g} = f_x g_px + f_y g_py - f_px g_x - f_py g_y, exactly."""
-    f, g = _scaled(f.terms), _scaled(g.terms)
+    f, g = f._operand(), g._operand()
     return PhasePoly._sum_of_products([(1, _partial(f, "x"), _partial(g, "px")),
                                        (1, _partial(f, "y"), _partial(g, "py")),
                                        (-1, _partial(f, "px"), _partial(g, "x")),
@@ -441,9 +484,9 @@ class VectorField(NamedTuple):
 
     def apply(self, f: PhasePoly) -> PhasePoly:
         """Directional derivative of f along the field (y via the u chain rule)."""
-        f = _scaled(f.terms)
+        f = f._operand()
         return PhasePoly._sum_of_products(
-            (1, _scaled(c.terms), _partial(f, var))
+            (1, c._operand(), _partial(f, var))
             for c, var in zip(self, ("x", "y", "px", "py")))
 
     def __sub__(self, other: "VectorField") -> "VectorField":

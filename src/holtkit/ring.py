@@ -4,16 +4,16 @@ Coefficients are arbitrary-precision rationals throughout; high-order
 bracket expansions overflow 64-bit integers, so fixed-width arithmetic is
 never used.
 
-A polynomial is a dict from an exponent tuple to a nonzero Fraction (the
-layout of SymPy's PolyElement).  Sums go through one accumulate helper.
-Every product goes through one sum-of-products kernel, sum_of_products: a
-plain product is one (sign, a, b) triple, a Poisson bracket or a vector
-field applied to a polynomial is four.  The kernel multiplies integer
-numerators: its caller scales every operand once to integer numerators
-over a denominator (_scaled), and phasepoly takes derivatives on those
-integers.  The kernel accumulates all pairs of all products into one
-integer dict over one common denominator, which the caller turns into one
-Fraction per surviving term.  Small products (at most _PACK_RATIO pairs
+A polynomial is stored as the kernel reads it: one positive integer
+denominator and a dict from an exponent tuple to a nonzero integer
+numerator (the layout of SymPy's PolyElement, over one denominator).  Sums
+go through one accumulate helper.  Every product goes through one
+sum-of-products kernel, sum_of_products: a plain product is one (sign, a,
+b) triple, a Poisson bracket or a vector field applied to a polynomial is
+four.  The kernel takes each operand as it is stored, and phasepoly takes
+derivatives on those integers.  The kernel accumulates all pairs of all
+products into one integer dict over one common denominator, which the
+caller reduces with one gcd.  Small products (at most _PACK_RATIO pairs
 per operand term, such as a monomial times a polynomial) add exponent
 tuples; larger ones add exponents packed into one integer per term
 (Kronecker substitution), with a slot width taken from the operands'
@@ -23,10 +23,9 @@ exponent range so that every result decodes exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 from operator import add, mul
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Collection, Hashable, Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -46,19 +45,13 @@ def accumulate(out: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
 
 
 # one operand of the kernel: (d, [(key, n)]), the terms n / d with integer n
-Scaled = tuple[int, list[tuple[tuple, int]]]
-
-
-def _scaled(terms: Mapping[tuple, Fraction]) -> Scaled:
-    """(d, [(key, c * d)]) with d the least common denominator of the terms."""
-    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+Scaled = tuple[int, Collection[tuple[tuple, int]]]
 
 
 # the products of one kernel call, as _tuple_products and _packed_products
 # read them: (sign, denominator, left terms, right terms), every term an
 # integer numerator over that denominator
-Products = list[tuple[int, int, list[tuple[tuple, int]], list[tuple[tuple, int]]]]
+Products = list[tuple[int, int, Collection[tuple[tuple, int]], Collection[tuple[tuple, int]]]]
 
 
 # pairs per operand term above which the products add packed keys: packing
@@ -93,7 +86,7 @@ def _packed_products(scaled: Products, den: int) -> dict[tuple, int]:
     a_i + b_i - 2 * lo, between 0 and 2 * (hi - lo) < 2^s: the packing is
     exact, and adding two packed operand keys adds their exponents.
     """
-    exponents = [k for _, _, left, right in scaled for k, _ in left + right]
+    exponents = [k for _, _, *sides in scaled for side in sides for k, _ in side]
     lo, hi = min(map(min, exponents)), max(map(max, exponents))
     bits = (2 * (hi - lo)).bit_length()
     shifts = [bits * i for i in range(len(exponents[0]))]
@@ -121,8 +114,8 @@ def sum_of_products(triples: Iterable[tuple[int, Scaled, Scaled]]
     """The sum of sign * a * b over (sign, a, b) triples, exactly, as
     (den, {exponent tuple: integer numerator over den}).
 
-    Each operand comes scaled (see _scaled) to integer numerators over a
-    denominator, and every pair of every product accumulates into one
+    Each operand is integer numerators over a denominator, as a PhasePoly
+    stores its terms, and every pair of every product accumulates into one
     integer dict over one common denominator.  A term that cancels reads 0
     or is left out.  Exponents are added as packed integer keys when the
     products have more than _PACK_RATIO pairs per operand term, as tuples

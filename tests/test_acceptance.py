@@ -186,10 +186,11 @@ def test_10_numeric_corroboration():
 
 def test_11_fault_injection_on_cubic_integral():
     entry = catalog.build("K2_3")
-    monos = sorted(entry.expression.terms, key=lambda m: m.sort_key(), reverse=True)
+    terms = entry.expression.terms
+    monos = sorted(terms, key=lambda m: m.sort_key(), reverse=True)
     ok = len(monos) == 5
     for mono in monos:
-        flipped = dict(entry.expression.terms)
+        flipped = dict(terms)
         flipped[mono] = -flipped[mono]
         bad = entry._replace(expression=PhasePoly(flipped))
         rep = verify.full_suite(entries={"K2_3": bad})

@@ -1,11 +1,14 @@
 """Kernel behavior: arithmetic, differentiation, brackets, vector fields."""
 
+import gc
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from holtkit import catalog, ring, verify
+from holtkit.parsing import parse_expression
 from holtkit.phasepoly import (
     K1,
     K2,
@@ -236,6 +239,30 @@ def test_param_poly_coefficients_expand_into_flat_terms():
     assert PhasePoly(f.terms) == f  # flat Term keys are accepted back
     assert f.render() == ("k1*x*u^-2*px + 2*k2*x*u^-2*px - 1/3*k3*x*u^-2*px"
                           " + 5*u*py^2 + k1^2 + 1")
+
+
+def test_writing_into_terms_changes_nothing():
+    # terms is a new dict on each access, not the polynomial's own storage
+    p = parse_expression("2*x + 3*px")
+    p.terms[Term(ex=1)] = 0
+    assert p.terms == {Term(ex=1): 2, Term(epx=1): 3}
+    assert p.render() == "3*px + 2*x"
+    assert p == parse_expression("2*x + 3*px") and p != parse_expression("3*px")
+
+
+def test_building_polynomials_leaves_no_argument_tuples_behind():
+    # one row per term, 1 to 19 terms: argument tuples of every size CPython
+    # keeps free lists for, which a gcd(den, *nums.values()) per polynomial
+    # filled by about one tuple per call
+    texts = [" + ".join(f"1/{n + 2}*x^{n}" for n in range(terms)) for terms in range(1, 20)]
+    for text in texts:
+        parse_expression(text)
+    gc.collect()  # a full collection empties the free lists
+    before = sys.getallocatedblocks()
+    for _ in range(50):
+        for text in texts:
+            parse_expression(text)
+    assert sys.getallocatedblocks() - before < 500
 
 
 def test_constructor_rejects_malformed_keys():

@@ -5,6 +5,7 @@ size, and sixth-degree randomized products would only burn time.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import neg
 
 from hypothesis import example, given, settings, strategies as st
@@ -105,8 +106,9 @@ def _pairwise(products):
     of terms: the reference the sum-of-products kernel is held to."""
     out = {}
     for sign, a, b in products:
+        right = b.terms.items()  # .terms builds a new dict on each access
         for ka, ca in a.terms.items():
-            for kb, cb in b.terms.items():
+            for kb, cb in right:
                 key = tuple(x + y for x, y in zip(ka, kb))
                 out[key] = out.get(key, 0) + sign * ca * cb
     return {key: c for key, c in out.items() if c != 0}
@@ -118,7 +120,8 @@ def _bracket_products(f, g):
 
 
 def _same_terms(result, reference):
-    return result.terms == reference and all(type(t) is Term for t in result.terms)
+    terms = result.terms
+    return terms == reference and all(type(t) is Term for t in terms)
 
 
 # exponents at the edges of the packed keys' slots: small ones, and powers of
@@ -205,12 +208,59 @@ heights = st.one_of(st.floats(0.05, 4), st.floats(0.05, 4), st.floats())
 exact_values = st.one_of(st.none(), st.just(0), fractions)
 
 
+def _in_lowest_terms(p):
+    """den > 0, nonzero int numerators on Term keys, and gcd(den, *nums) == 1,
+    which for no terms means den == 1: zero is (1, {})."""
+    return (type(p.den) is int and p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+            and all(type(t) is Term and type(n) is int and n for t, n in p.nums.items()))
+
+
 @settings(max_examples=80, deadline=None)
-@given(parametric_polys, parametric_polys, st.sampled_from(["x", "u", "y", "px", "py"]),
-       exact_values, exact_values, exact_values)
+@given(st.one_of(phase_polys, parametric_polys), st.one_of(phase_polys, parametric_polys),
+       st.sampled_from(["x", "u", "y", "px", "py"]), exact_values, exact_values, exact_values)
 def test_every_derived_polynomial_is_keyed_by_terms(f, g, var, k1, k2, k3):
-    for p in (f.substitute_params(k1, k2, k3), f.diff(var), -f, f - g, 1 - f):
-        assert all(type(t) is Term for t in p.terms)
+    """Every way of making a polynomial stores it in lowest terms, keyed by
+    Terms, and its terms and its render both make it back."""
+    made = [f, parse_expression(f.render()), f + g, f - g, 1 - f, f * g, f**2, -f,
+            f.diff(var), poisson_bracket(f, g), VectorField(f, g, g, f).apply(f),
+            f.substitute_params(k1, k2, k3), f - f]
+    for p in made:
+        assert _in_lowest_terms(p)
+        terms = p.terms
+        assert all(type(t) is Term for t in terms)
+        assert PhasePoly(terms) == p == parse_expression(p.render())
+    assert (made[-1].den, made[-1].nums) == (1, {})
+
+
+# integers from small to far past the float range, and denominators from 1 to
+# past 2^1074, so that quotients overflow, underflow or round at a tie
+_fold_numerators = st.one_of(st.integers(-10**30, 10**30),
+                             st.integers(2**1023, 2**1025), st.integers(1, 2**60).map(neg))
+_fold_denominators = st.one_of(st.integers(1, 10**30), st.integers(1, 3),
+                               st.integers(2**1070, 2**1080))
+
+
+@settings(max_examples=300, deadline=None)
+@example(2**1024 - 2**970, 1, 1)  # halfway to the next power of two: rounds to inf
+@example(2**1024 - 2**970 - 1, 1, 6)  # just below it: rounds to the largest float
+@example(1, 2**1075, 2)  # half the smallest subnormal: rounds to zero
+@given(_fold_numerators.filter(bool), _fold_denominators, st.integers(1, 10**6))
+def test_a_folded_coefficient_is_the_float_of_its_fraction(n, d, m):
+    # a second term over m makes the stored numerator of the x term n/d
+    # scaled to the common denominator, not the reduced pair
+    p = PhasePoly({Term(ex=1): Fraction(n, d), Term(): Fraction(1, m)})
+    try:
+        expected = float(Fraction(n, d))
+    except OverflowError:
+        try:
+            p._fold(0.0, 0.0, 0.0)
+        except DomainError as exc:
+            assert str(exc) == "the coefficient of x is too large for a float"
+        else:
+            raise AssertionError("no DomainError")
+        return
+    folded = {tuple(mono): c for c, *mono in p._fold(0.0, 0.0, 0.0)}
+    assert folded == {**({(1, 0, 0, 0): expected} if expected else {}), (0, 0, 0, 0): 1 / m}
 
 
 def _outcome(run):
