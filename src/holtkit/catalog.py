@@ -10,7 +10,7 @@ y^(-2/3) is u^-2.  Hamiltonians are (1/2)(px^2 + py^2) + V.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .parsing import parse_expression
 from .phasepoly import PhasePoly, VectorField, hamiltonian_vf
@@ -88,21 +88,20 @@ def names() -> list[str]:
     return out
 
 
-def build(name: str, get: Callable[[str], PhasePoly] | None = None) -> CatalogEntry:
+def build(name: str, in_force: dict[str, CatalogEntry] | None = None) -> CatalogEntry:
     """Construct a catalog entry with symbolic k-coefficients.
 
-    A derived entry (H_<V>, X2, X3, X4) reads the expression it is made from
-    through get(name), by default a fresh build; a get that returns an
-    overridden entry carries the override into everything derived from it.
+    A derived entry (H_<V>, X2, X3, X4) reads its source through
+    entry(source, in_force), so an overridden source in in_force carries
+    the override into it.
     """
-    if get is None:
-        get = lambda source: build(source).expression
+    in_force = {} if in_force is None else in_force
     if name in _POTENTIALS:
         kind, (text, source, _) = "potential", _POTENTIALS[name]
         expr = parse_expression(text)
     elif name.startswith("H_") and name[2:] in _POTENTIALS:
         kind, V = "hamiltonian", name[2:]
-        expr = KINETIC + get(V)
+        expr = KINETIC + entry(V, in_force).expression
         source = f"kinetic term plus {V}; {_POTENTIALS[V][1]}"
     elif name in _INTEGRALS:
         kind, (text, source) = "integral", _INTEGRALS[name]
@@ -110,12 +109,20 @@ def build(name: str, get: Callable[[str], PhasePoly] | None = None) -> CatalogEn
     elif name in _FIELDS:
         kind, (spec, source) = "vectorfield", _FIELDS[name]
         if isinstance(spec, str):
-            expr = hamiltonian_vf(get(spec))
+            expr = hamiltonian_vf(entry(spec, in_force).expression)
         else:
             expr = VectorField(*map(parse_expression, spec))
     else:
         raise KeyError(f"unknown catalog name {name!r}; see names()")
     return CatalogEntry(name, kind, expr, source)
+
+
+def entry(name: str, in_force: dict[str, CatalogEntry]) -> CatalogEntry:
+    """in_force[name], built by build(name, in_force) and stored there if missing."""
+    found = in_force.get(name)
+    if found is None:
+        found = in_force[name] = build(name, in_force)
+    return found
 
 
 def invariants(potential: str) -> list[str]:

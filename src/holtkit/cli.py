@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure, 2 argument errors or an
 unwritable --out, 3 trajectory domain abort (the y guard, a non-finite
-state or a numeric overflow).  All stdout is deterministic for fixed
-arguments; timing data only ever goes into the JSON report file.
+state or a numeric overflow), 141 stdout closed by its reader.  Stdout
+is deterministic for fixed arguments; timings go only into JSON reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -229,13 +230,13 @@ def _run_simulate(args, parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _run_verify(args, parser)
-    if args.command == "bracket":
-        return _run_bracket(args, parser)
-    if args.command == "catalog":
-        return _run_catalog(args, parser)
-    return _run_simulate(args, parser)
+    try:
+        code = globals()[f"_run_{args.command}"](args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+    return code
 
 
 if __name__ == "__main__":

@@ -87,11 +87,9 @@ def _term(exponents: tuple) -> Term:
     return tuple.__new__(Term, exponents)
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _frac(value) -> Scalar:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -120,7 +118,7 @@ class PhasePoly:
 
     __slots__ = ("den", "nums")
 
-    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
+    def __new__(cls, terms: Mapping[tuple, Scalar] | None = None) -> "PhasePoly":
         """Keys are Terms, or tuples of all 7 exponents."""
         terms = terms or {}
         for key in terms:
@@ -129,8 +127,7 @@ class PhasePoly:
             if min(key[:1] + key[2:]) < 0:
                 raise ValueError(f"negative exponent outside u in {key}")
         coeffs = [(_term(k), _frac(c)) for k, c in terms.items()]
-        poly = self._from_rows((k, c.numerator, c.denominator) for k, c in coeffs)
-        self.den, self.nums = poly.den, poly.nums
+        return cls._from_rows((k, c.numerator, c.denominator) for k, c in coeffs)
 
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[Term, int, int]]) -> "PhasePoly":

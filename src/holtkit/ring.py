@@ -130,7 +130,7 @@ def sum_of_products(triples: Iterable[tuple[int, Scaled, Scaled]]
     return den, (_packed_products if excess > 0 else _tuple_products)(scaled, den)
 
 
-# read only by the TARGETS of bench/tracing.py; ROADMAP item 3 retires it
+# read only by the TARGETS of bench/tracing.py; ROADMAP item 1 retires it
 class ParamPoly:
     def __mul__(self, other):
         return NotImplemented

@@ -10,7 +10,6 @@ transcription slip.
 from __future__ import annotations
 
 import time
-from functools import cache
 from typing import Mapping, NamedTuple
 
 from . import __version__, catalog
@@ -202,21 +201,18 @@ CLAIMS = (
 def full_suite(entries: Mapping[str, "catalog.CatalogEntry"] | None = None) -> VerificationReport:
     """Run every claim of CLAIMS in its printed order and collect the report.
 
-    `entries` overrides catalog entries by name (a name outside
-    catalog.names() is a KeyError), and the entries derived from an
-    overridden one are built from it.  A check's millis covers all of its
-    work: building the entries it is the first to read, and the check.
+    `entries` seeds the dict of entries in force (a name outside
+    catalog.names() is a KeyError), and catalog.entry builds each other
+    name once from it.  A check's millis covers all of its work: building
+    the entries it is the first to read, and the check.
     """
-    entries = entries or {}
-    unknown = sorted(entries.keys() - set(catalog.names()))
+    in_force = dict(entries or {})
+    unknown = sorted(in_force.keys() - set(catalog.names()))
     if unknown:
         raise KeyError(f"entries override unknown catalog names {unknown}")
 
-    @cache
     def get(name: str):
-        if name in entries:
-            return entries[name].expression
-        return catalog.build(name, get).expression
+        return catalog.entry(name, in_force).expression
 
     checks = []
     for id, description, citation, kind, operands in CLAIMS:
@@ -225,5 +221,4 @@ def full_suite(entries: Mapping[str, "catalog.CatalogEntry"] | None = None) -> V
         failure = globals()[f"check_{kind}"](*operands(get))
         checks.append(Check(id, description, citation, failure is None, failure,
                             (time.perf_counter() - t0) * 1000.0))
-    get.cache_clear()  # get refers to itself, so free the entries without waiting for gc
     return VerificationReport(tuple(checks))

@@ -64,12 +64,22 @@ def test_each_transcription_is_stored_as_it_renders():
     assert catalog.KINETIC.render() == "1/2*px^2 + 1/2*py^2"
 
 
-def test_derived_entries_read_their_source_through_get():
+def test_derived_entries_read_their_source_from_the_entries_in_force():
     V = X * X
-    H = catalog.build("H_U", {"U": V}.__getitem__).expression
+    U = catalog.build("U")._replace(expression=V)
+    H = catalog.build("H_U", {"U": U}).expression
     assert H == catalog.build("H_U").expression - catalog.build("U").expression + V
     K = 2 * catalog.build("K2_3").expression
-    assert catalog.build("X2", {"K2_3": K}.__getitem__).expression == hamiltonian_vf(K)
+    K2_3 = catalog.build("K2_3")._replace(expression=K)
+    assert catalog.build("X2", {"K2_3": K2_3}).expression == hamiltonian_vf(K)
+
+
+def test_entry_builds_a_missing_name_once_and_stores_it_with_its_source():
+    in_force = {}
+    H = catalog.entry("H_U", in_force)
+    assert in_force == {"U": catalog.build("U"), "H_U": H}
+    assert catalog.entry("H_U", in_force) is H
+    assert catalog.entry("U", in_force) is in_force["U"]
 
 
 def test_k_family_reduces_to_originals():

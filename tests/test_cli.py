@@ -2,13 +2,17 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+import holtkit
 from holtkit import cli
 from holtkit.cli import main
 
@@ -516,6 +520,25 @@ def test_simulate_rejects_non_potential(capsys):
         assert out == ""
         assert err == ("usage: holtkit [-h] {verify,bracket,catalog,simulate} ...\n"
                        f"holtkit: error: {name} is not a potential\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["catalog", "list"],
+    ["simulate", "--potential", "U", "--k2", "1", "--start", "0,1,0.5,0.5", "--t-end", "1"],
+], ids=["verify", "catalog_list", "simulate"])
+def test_a_closed_stdout_ends_quietly_with_exit_141(argv):
+    """A reader that has gone, as `| head` leaves it: no traceback, and the
+    exit code a shell gives a process that SIGPIPE ended."""
+    env = dict(os.environ, PYTHONPATH=str(Path(holtkit.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "holtkit", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_unknown_subcommand_is_an_argument_error():

@@ -1,5 +1,6 @@
 """Identity engine behavior, including deliberate fault injection."""
 
+import gc
 import json
 from fractions import Fraction
 
@@ -179,6 +180,28 @@ def test_one_suite_reads_every_catalog_name(monkeypatch):
     monkeypatch.setattr(catalog, "build", recording_build)
     assert verify.full_suite().all_passed
     assert sorted(read) == sorted(catalog.names())  # each name built once
+
+
+def test_a_suite_leaves_no_reference_cycle():
+    """The entries in force are one plain dict, so a suite frees all it built
+    without the cycle collector."""
+    entry = catalog.build("K2_3")
+    bad = entry._replace(expression=_flip_term(entry.expression, 0))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for entries in (None, {"K2_3": bad}):
+            for _ in range(10):
+                verify.full_suite(entries)
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def test_an_unknown_override_name_is_a_key_error():
