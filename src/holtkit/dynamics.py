@@ -6,13 +6,16 @@ numerical differentiation anywhere.  A run is recorded as float columns:
 the steps fill t, x, y, px and py, then one generated function evaluates
 every tracked invariant once per sample into one shared column, of which
 each invariant reads a strided view; the table and the drift report only
-read them.  Fixed step only: the convergence study needs clean order
-estimates.
+read them.  A large table is formatted in contiguous row blocks, one per
+usable CPU, in forked children whose text is joined in row order, and is
+the same text as one process makes.  Fixed step only: the convergence
+study needs clean order estimates.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from itertools import chain, repeat
 from math import isfinite
 from operator import sub
@@ -194,13 +197,14 @@ def integrate(potential: CatalogEntry, start: Sequence[float], cfg: SimConfig,
         append_px(px)
         append_py(py)
     times = array("d", map(h.__mul__, range(n_steps + 1)))  # sample i is at i * h
-    evaluate = compile_all([e.expression for e in entries], cfg.k1, cfg.k2, cfg.k3)
-    # every invariant's value at each sample in turn; each invariant's column
-    # is a strided view of this one array
-    values = memoryview(array("d", chain.from_iterable(map(evaluate, *state)))).toreadonly()
-    return Trajectory((*_STATE, *(e.name for e in entries)),
-                      (*(memoryview(c).toreadonly() for c in (times, *state)),
-                       *(values[i::len(entries)] for i in range(len(entries)))))
+    columns = tuple(memoryview(c).toreadonly() for c in (times, *state))
+    if entries:  # a run tracking nothing takes no pass over its samples
+        evaluate = compile_all([e.expression for e in entries], cfg.k1, cfg.k2, cfg.k3)
+        # every invariant's value at each sample in turn; each invariant's
+        # column is a strided view of this one array
+        values = memoryview(array("d", chain.from_iterable(map(evaluate, *state)))).toreadonly()
+        columns += tuple(values[i::len(entries)] for i in range(len(entries)))
+    return Trajectory((*_STATE, *(e.name for e in entries)), columns)
 
 
 def drift_report(traj: Trajectory) -> DriftReport:
@@ -247,9 +251,97 @@ def convergence_order(potential: CatalogEntry, start: Sequence[float],
 
 def format_trajectory(traj: Trajectory) -> str:
     """Tab-separated table, one row per sample, repr-precision floats: the
-    time, the point and each tracked invariant's value."""
-    lines = ["\t".join(traj.names)]
+    time, the point and each tracked invariant's value.
+
+    A large table is formatted in contiguous row blocks, one per usable CPU
+    (see _processes); the text is the same whatever the number of blocks.
+    """
+    return _format_in_blocks(traj, _processes(len(traj) * len(traj.columns)))
+
+
+# the fewest floats worth a process of their own: a fork round trip (fork,
+# pipe, exit and wait, in a process that has imported holtkit.cli) costs
+# 2.2-2.5 ms and repr about 0.6 us a float, so a block under about 5000
+# floats never pays for its fork
+_FLOATS_PER_PROCESS = 5000
+
+
+def _processes(floats: int) -> int:
+    """How many processes format a table of this many floats: one per usable
+    CPU, each with at least _FLOATS_PER_PROCESS of them, and just this one
+    where os.fork is missing or a second thread runs, as a fork then risks
+    a child stuck on a lock that thread held."""
+    if floats < 2 * _FLOATS_PER_PROCESS or not hasattr(os, "fork"):
+        return 1
+    # imported here: only a table worth splitting asks
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, floats // _FLOATS_PER_PROCESS)
+
+
+def _format_rows(columns: Sequence[Sequence[float]], start: int, stop: int) -> str:
+    """Rows start to stop of the table, each closed by a newline."""
     # repr each column in one map, then join the row; repr is most of the cost
-    lines += map("\t".join, zip(*(map(repr, column) for column in traj.columns)))
-    lines.append("")  # the closing newline, without a second copy of the table
+    lines = list(map("\t".join, zip(*(map(repr, c[start:stop]) for c in columns))))
+    lines.append("")  # the closing newline, without a second copy of the block
     return "\n".join(lines)
+
+
+def _format_in_blocks(traj: Trajectory, processes: int) -> str:
+    """The table in `processes` contiguous row blocks: this process formats
+    block 0 and a forked child each other block, which it sends back over a
+    pipe; the blocks are joined in row order.
+
+    A child leaves only through os._exit, with 0 only once its whole block
+    is written.  Every child is reaped, and this process formats each block
+    whose child did not exit with 0, or could not be forked, so a child can
+    cost time but never change or lose a row.
+    """
+    n, columns = len(traj), traj.columns
+    bounds = [n * i // processes for i in range(processes + 1)]
+    blocks: list = [None] * processes  # each block's text in pieces, or None
+    children = []  # (block, pid, read end of its pipe)
+    try:
+        for i in range(1, processes):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: this one formats the rest
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:  # the child sends block i and leaves at once
+                code = 1
+                try:
+                    # a read end left open here would keep an earlier child
+                    # writing to a pipe its reader has closed
+                    for fd in (read_end, *(r for *_, r in children)):
+                        os.close(fd)
+                    with open(write_end, "wb") as out:
+                        out.write(_format_rows(columns, bounds[i], bounds[i + 1]).encode())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children.append((i, pid, read_end))
+        blocks[0] = [_format_rows(columns, bounds[0], bounds[1])]
+        for i, _, read_end in children:
+            # piece by piece, so no block is held as bytes and as str at once
+            blocks[i] = pieces = []
+            while piece := os.read(read_end, 1 << 16):
+                pieces.append(piece.decode())
+    finally:
+        for i, pid, read_end in children:
+            os.close(read_end)  # a child still writing stops at once
+            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+                blocks[i] = None  # a part of its block at most
+    for i, pieces in enumerate(blocks):
+        if pieces is None:
+            blocks[i] = [_format_rows(columns, bounds[i], bounds[i + 1])]
+    return "".join(["\t".join(traj.names), "\n", *chain.from_iterable(blocks)])

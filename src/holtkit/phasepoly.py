@@ -144,7 +144,7 @@ class PhasePoly:
         # reduce, here and in _from_rows: a call that unpacks, gcd(den, *...)
         # or lcm(*...), can leave its argument tuple on CPython's free lists,
         # about one a call and up to 2000 of each size: 1 MB over 1000 suites
-        g = reduce(gcd, nums.values(), den)
+        g = reduce(gcd, nums.values(), den) if den != 1 else 1  # a gcd with 1 is 1
         poly = object.__new__(cls)
         poly.den = den // g
         poly.nums = {k: n // g for k, n in nums.items()} if g != 1 else nums
@@ -200,8 +200,10 @@ class PhasePoly:
         """self + sign * o over the lcm of the two denominators."""
         den = lcm(self.den, o.den)
         a, b = den // self.den, sign * (den // o.den)
-        return self._wrap(den, accumulate({k: n * a for k, n in self.nums.items()},
-                                          ((k, n * b) for k, n in o.nums.items())))
+        # a factor of 1 leaves its numerators as they are
+        left = dict(self.nums) if a == 1 else {k: n * a for k, n in self.nums.items()}
+        right = o.nums.items() if b == 1 else ((k, n * b) for k, n in o.nums.items())
+        return self._wrap(den, accumulate(left, right))
 
     def __add__(self, other) -> "PhasePoly":
         o = self._coerce(other)

@@ -8,9 +8,13 @@ which bounds every usable baseline window; regression anchors below sit
 at t_end = 5.5, where the orbit still has y >= 1.
 """
 
+import os
+import signal
+import threading
+
 import pytest
 
-from holtkit import catalog
+from holtkit import catalog, dynamics
 from holtkit.dynamics import (
     InvariantDrift,
     SimConfig,
@@ -244,6 +248,126 @@ def test_trajectory_table_round_trips():
     assert float(row[2]) == START[1]
     H0 = float(row[5])
     assert H0 == catalog.build("H_U").expression.evaluate(*START, k2=1.0, k3=0.5)
+
+
+def test_a_run_tracking_nothing_never_calls_an_invariant_evaluator(monkeypatch):
+    compiled = []
+
+    def never_called(*point):
+        raise AssertionError("an evaluator of no invariants was called")
+
+    def compile_all(polys, *k):
+        compiled.append(len(polys))
+        return never_called if not polys else real(polys, *k)
+
+    real = dynamics.compile_all
+    monkeypatch.setattr(dynamics, "compile_all", compile_all)
+    traj = integrate(U, START, SimConfig(h=0.01, t_end=1.0, k2=1.0))
+    assert compiled == [2]  # the two force components only
+    assert traj.names == ("t", "x", "y", "px", "py") and len(traj.columns) == 5
+    assert len(traj) == 101
+
+
+@pytest.fixture(scope="module")
+def long_runs():
+    """Tables of several thousand rows, tracking U's four invariants and
+    tracking none, each with its text as one process formats it."""
+    tracked = [catalog.build(name) for name in catalog.invariants("U")]
+    cfg = SimConfig(h=1e-3, t_end=4.0, k2=1.0)
+    runs = [integrate(U, START, cfg, tracked), integrate(U, START, cfg)]
+    return [(traj, dynamics._format_in_blocks(traj, 1)) for traj in runs]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_a_table_in_blocks_is_the_table_in_one(long_runs, processes):
+    for traj, text in long_runs:
+        assert len(traj) == 4001 and len(traj.columns) in (9, 5)
+        assert dynamics._format_in_blocks(traj, processes) == text
+        assert format_trajectory(traj) == text
+    _assert_no_child_left()
+
+
+def test_a_table_takes_a_process_per_usable_cpu_and_never_more():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert dynamics._processes(10**9) == (cpus if hasattr(os, "fork") else 1)
+    # the golden tables, of at most 107 rows of nine floats, stay in one process
+    assert dynamics._processes(107 * 9) == dynamics._processes(0) == 1
+    assert dynamics._processes(2 * dynamics._FLOATS_PER_PROCESS - 1) == 1
+
+
+def test_a_table_without_fork_is_the_same_text(long_runs, monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert dynamics._processes(10**9) == 1
+    for traj, text in long_runs:
+        assert format_trajectory(traj) == text
+
+
+def test_a_second_thread_keeps_the_table_in_one_process(long_runs, monkeypatch):
+    def fork():
+        raise AssertionError("forked while a second thread ran")
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        for traj, text in long_runs:
+            assert format_trajectory(traj) == text
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_a_block_is_formatted_here_when_its_child_fails(long_runs, monkeypatch):
+    parent, real = os.getpid(), dynamics._format_rows
+
+    def format_rows(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("a child that fails")
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_format_rows", format_rows)
+    for traj, text in long_runs:
+        assert dynamics._format_in_blocks(traj, 3) == text
+    _assert_no_child_left()
+
+
+def test_a_reader_that_fails_ends_every_child(long_runs, monkeypatch):
+    # each child's block outgrows its pipe's buffer, so a child writes until
+    # it is read or its pipe has no reader left; a read end that a later
+    # child still held would keep an earlier one writing, and this call
+    # waiting for it, so an alarm ends the wait as a failure
+    def read(fd, size):
+        raise RuntimeError("a reader that fails")
+
+    def stuck(signum, frame):
+        raise TimeoutError("a child is still writing")
+
+    monkeypatch.setattr(os, "read", read)
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match="a reader that fails"):
+            dynamics._format_in_blocks(long_runs[0][0], 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
+
+
+def test_a_block_is_formatted_here_when_no_process_can_be_forked(long_runs, monkeypatch):
+    def fork():
+        raise BlockingIOError("no process to be had")
+
+    monkeypatch.setattr(os, "fork", fork)
+    for traj, text in long_runs:
+        assert dynamics._format_in_blocks(traj, 3) == text
 
 
 def test_domain_error_type_hierarchy():

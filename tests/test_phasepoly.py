@@ -49,6 +49,19 @@ def test_addition_cancels():
     assert (X + U) - X == U
 
 
+def test_a_sum_reduces_and_leaves_its_operands_as_they_were():
+    half = Fraction(1, 2)
+    f, g = half * X + half * PX, half * X - half * PX
+    # denominators of 2 that cancel to 1
+    assert ((f + g).den, (f + g).nums) == (1, {Term(ex=1): 1})
+    assert ((f - g).den, (f - g).nums) == (1, {Term(epx=1): 1})
+    # denominators of 1, where no numerator is scaled
+    h = X + PX
+    assert h - PX == X and h + (-X) == PX and -PX + h == X
+    assert (f.den, f.nums) == (2, {Term(ex=1): 1, Term(epx=1): 1})
+    assert (h.den, h.nums) == (1, {Term(ex=1): 1, Term(epx=1): 1})
+
+
 def test_multiplication_merges_exponents():
     assert upow(-2) * U**5 == U**3
     assert (X * PX) * (X * PY) == X**2 * PX * PY
