@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .ring import Scalar, Scaled, accumulate, sum_of_products
+from .ring import Scalar, Scaled, accumulate, partial, sum_of_products
 
 
 class DomainError(ValueError):
@@ -64,8 +64,8 @@ class Term(NamedTuple):
 
 # name -> (Term slot, scale): the exponent e of a name is scale * e in its
 # slot, so y is u^3.  Parameters k1-k3 fill slots 4-6 and are never
-# differentiated.  The parser and the derivative rule, _partial, both read
-# this table.
+# differentiated.  The parser, diff and the kernel's derivative directions
+# all read this table.
 SLOTS = {"x": (0, 1), "u": (1, 1), "y": (1, 3), "px": (2, 1), "py": (3, 1),
          "k1": (4, 1), "k2": (5, 1), "k3": (6, 1)}
 _PARAM_SLOT = 4
@@ -91,20 +91,6 @@ def _frac(value) -> Scalar:
     if isinstance(value, (int, Fraction)):
         return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def _partial(operand: Scaled, var: str) -> Scaled:
-    """The partial derivative along x, u, px, py, or y of integer
-    numerators over a denominator, in the same form: a term's exponent e in
-    var's slot multiplies its numerator and drops by the scale, which
-    multiplies the denominator.  Distinct terms stay distinct and nonzero.
-    """
-    i, scale = SLOTS.get(var, (_PARAM_SLOT, 0))
-    if i >= _PARAM_SLOT:
-        raise ValueError(f"unknown direction {var!r}")
-    den, terms = operand
-    return den * scale, [(k[:i] + (k[i] - scale,) + k[i + 1:], n * k[i])
-                         for k, n in terms if k[i]]
 
 
 class PhasePoly:
@@ -134,17 +120,19 @@ class PhasePoly:
         """The sum of (Term, numerator, denominator) rows, each denominator
         positive; rows on one Term add up."""
         rows = list(rows)
+        # reduce, not lcm(*...), whose argument tuple can stay on CPython's free lists
         den = reduce(lcm, (d for _, _, d in rows), 1)
         return cls._wrap(den, accumulate({}, ((k, n * (den // d)) for k, n, d in rows)))
 
     @classmethod
     def _wrap(cls, den: int, nums: dict) -> "PhasePoly":
         """Trusted constructor: den > 0 and nums maps Terms to nonzero ints;
-        one gcd reduces the pair to lowest terms."""
-        # reduce, here and in _from_rows: a call that unpacks, gcd(den, *...)
-        # or lcm(*...), can leave its argument tuple on CPython's free lists,
-        # about one a call and up to 2000 of each size: 1 MB over 1000 suites
-        g = reduce(gcd, nums.values(), den) if den != 1 else 1  # a gcd with 1 is 1
+        their running gcd, which stops at 1, reduces the pair to lowest terms."""
+        g = den
+        for n in nums.values() if den != 1 else ():  # a gcd with 1 is 1
+            g = gcd(g, n)
+            if g == 1:  # no numerator can lower it further
+                break
         poly = object.__new__(cls)
         poly.den = den // g
         poly.nums = {k: n // g for k, n in nums.items()} if g != 1 else nums
@@ -232,14 +220,14 @@ class PhasePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._sum_of_products([(1, self._operand(), o._operand())])
+        return self._sum_of_products([(1, (self._operand(), None), (o._operand(), None))])
 
     __rmul__ = __mul__
 
     @classmethod
     def _sum_of_products(cls, triples) -> "PhasePoly":
-        """ring.sum_of_products of (sign, a, b) triples of stored operands,
-        reduced with one gcd."""
+        """ring.sum_of_products of (sign, a, b) triples of factors, reduced
+        with one gcd."""
         den, sums = sum_of_products(triples)
         return cls._wrap(den, {_term(k): n for k, n in sums.items() if n})
 
@@ -262,8 +250,11 @@ class PhasePoly:
         The y-derivative is the chain rule through u: a monomial u^n maps
         to (n/3) u^(n-3), which keeps the result inside the ring.
         """
-        den, terms = _partial(self._operand(), var)
-        return self._wrap(den, {_term(k): n for k, n in terms})
+        direction = SLOTS.get(var, (_PARAM_SLOT, 0))
+        if direction[0] >= _PARAM_SLOT:
+            raise ValueError(f"unknown direction {var!r}")
+        return self._wrap(self.den * direction[1],
+                          {_term(k): n for k, n in partial(self.nums.items(), direction)})
 
     def substitute_params(self, k1: Scalar | None = None, k2: Scalar | None = None,
                           k3: Scalar | None = None) -> "PhasePoly":
@@ -459,10 +450,10 @@ def upow(n: int) -> PhasePoly:
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     """{f, g} = f_x g_px + f_y g_py - f_px g_x - f_py g_y, exactly."""
     f, g = f._operand(), g._operand()
-    return PhasePoly._sum_of_products([(1, _partial(f, "x"), _partial(g, "px")),
-                                       (1, _partial(f, "y"), _partial(g, "py")),
-                                       (-1, _partial(f, "px"), _partial(g, "x")),
-                                       (-1, _partial(f, "py"), _partial(g, "y"))])
+    return PhasePoly._sum_of_products([(1, (f, SLOTS["x"]), (g, SLOTS["px"])),
+                                       (1, (f, SLOTS["y"]), (g, SLOTS["py"])),
+                                       (-1, (f, SLOTS["px"]), (g, SLOTS["x"])),
+                                       (-1, (f, SLOTS["py"]), (g, SLOTS["y"]))])
 
 
 class VectorField(NamedTuple):
@@ -485,7 +476,7 @@ class VectorField(NamedTuple):
         """Directional derivative of f along the field (y via the u chain rule)."""
         f = f._operand()
         return PhasePoly._sum_of_products(
-            (1, c._operand(), _partial(f, var))
+            (1, (c._operand(), None), (f, SLOTS[var]))
             for c, var in zip(self, ("x", "y", "px", "py")))
 
     def __sub__(self, other: "VectorField") -> "VectorField":

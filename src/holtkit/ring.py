@@ -10,22 +10,23 @@ numerator (the layout of SymPy's PolyElement, over one denominator).  Sums
 go through one accumulate helper.  Every product goes through one
 sum-of-products kernel, sum_of_products: a plain product is one (sign, a,
 b) triple, a Poisson bracket or a vector field applied to a polynomial is
-four.  The kernel takes each operand as it is stored, and phasepoly takes
-derivatives on those integers.  The kernel accumulates all pairs of all
-products into one integer dict over one common denominator, which the
-caller reduces with one gcd.  Small products (at most _PACK_RATIO pairs
-per operand term, such as a monomial times a polynomial) add exponent
-tuples; larger ones add exponents packed into one integer per term
-(Kronecker substitution), with a slot width taken from the operands'
-exponent range so that every result decodes exactly.
+four.  A factor is an operand as it is stored and the direction of a
+derivative that the kernel takes in the key layout it adds.  All pairs of
+all products accumulate into one integer dict over one common
+denominator, which the caller reduces by the gcd.  Small products (at most
+_PACK_RATIO pairs per operand term, such as a monomial times a polynomial)
+add exponent tuples; larger ones pack each operand once into one integer
+per term (Kronecker substitution), in slots that hold every exponent of
+the operands and their derivatives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import add, mul
-from typing import Collection, Hashable, Iterable, Union
+from typing import Collection, Hashable, Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -47,29 +48,38 @@ def accumulate(out: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
 # one operand of the kernel: (d, [(key, n)]), the terms n / d with integer n
 Scaled = tuple[int, Collection[tuple[tuple, int]]]
 
-
-# the products of one kernel call, as _tuple_products and _packed_products
-# read them: (sign, denominator, left terms, right terms), every term an
-# integer numerator over that denominator
-Products = list[tuple[int, int, Collection[tuple[tuple, int]], Collection[tuple[tuple, int]]]]
+# a call's products as the layouts read them: (sign, d, left, direction, right, direction)
+Products = list[tuple[int, int, Collection, Optional[tuple], Collection, Optional[tuple]]]
 
 
 # pairs per operand term above which the products add packed keys: packing
-# an operand term and decoding a result term each cost about what packing
-# saves on two or three pairs, so packing pays only when the products merge
-# many pairs into few terms, as a bracket of two large polynomials does; in
-# the paper suite and the ladder workload the crossover lies between 2 and 6
+# an operand term or decoding a result term costs what packing saves on two
+# or three pairs.  Brackets run faster packed from 20 x 5 terms (0.8x the
+# tuple time) and 15 x 6 (0.9x), slower at 6 x 5 (1.2-1.4x); products whose
+# pairs rarely merge (random sparse 20 x 20) run 1.1-1.6x slower packed
 _PACK_RATIO = 4
 
 
-def _tuple_products(scaled: Products, den: int) -> dict[tuple, int]:
-    """Accumulate the scaled products over the common denominator den on
+def partial(terms: Iterable[tuple[tuple, int]], direction: tuple[int, int]) -> list:
+    """The derivative of integer numerators along a direction (slot, scale),
+    y being u^3: a term with exponent e != 0 in the slot takes n * e and drops
+    e by the scale, which multiplies the denominator; terms stay distinct."""
+    slot, scale = direction
+    return [(k[:slot] + (k[slot] - scale,) + k[slot + 1:], n * k[slot])
+            for k, n in terms if k[slot]]
+
+
+def _tuple_products(products: Products, den: int) -> dict[tuple, int]:
+    """Accumulate the products over the common denominator den on
     exponent-tuple keys."""
     sums: dict[tuple, int] = {}
     get = sums.get
-    for sign, d, left, right in scaled:
+    for sign, d, a, va, b, vb in products:
         factor = sign * (den // d)
-        for ka, na in left:
+        right = partial(b, vb) if vb else b
+        if not right:
+            continue
+        for ka, na in partial(a, va) if va else a:
             na *= factor
             for kb, nb in right:
                 key = (*map(add, ka, kb),)
@@ -77,28 +87,44 @@ def _tuple_products(scaled: Products, den: int) -> dict[tuple, int]:
     return sums
 
 
-def _packed_products(scaled: Products, den: int) -> dict[tuple, int]:
-    """Accumulate the scaled products over the common denominator den on
-    packed integer keys, then decode the surviving keys into exponent tuples.
+def _pack(terms: Iterable, weights: list[int], base: int) -> list[tuple[int, int]]:
+    return [(sum(map(mul, k, weights)) - base, n) for k, n in terms]
 
-    Every operand exponent e lies in [lo, hi], over all slots and operands,
-    and packs as (e - lo) << (s * i) in slot i, so slot i of a product holds
-    a_i + b_i - 2 * lo, between 0 and 2 * (hi - lo) < 2^s: the packing is
-    exact, and adding two packed operand keys adds their exponents.
+
+def _packed_products(products: Products, den: int) -> dict[tuple, int]:
+    """Accumulate the products over the common denominator den on packed
+    integer keys, then decode the surviving keys into exponent tuples.
+
+    Each operand is packed once.  Every exponent e of an operand or of a
+    derivative (one slot lower by at most the call's largest scale) lies in
+    [lo, hi] and packs as (e - lo) << (s * i) in slot i, so slot i of a
+    product holds a_i + b_i - 2 * lo, between 0 and 2 * (hi - lo) < 2^s: the
+    packing is exact, adding two keys adds their exponents, and a
+    derivative along slot i subtracts scale << (s * i) from a key.
     """
-    exponents = [k for _, _, *sides in scaled for side in sides for k, _ in side]
-    lo, hi = min(map(min, exponents)), max(map(max, exponents))
+    operands = {id(t): t for _, _, a, _, b, _ in products for t in (a, b)}
+    exponents = [k for terms in operands.values() for k, _ in terms]
+    drop = max((v[1] for _, _, _, va, _, vb in products for v in (va, vb) if v), default=0)
+    lo, hi = min(chain.from_iterable(exponents)) - drop, max(chain.from_iterable(exponents))
     bits = (2 * (hi - lo)).bit_length()
     shifts = [bits * i for i in range(len(exponents[0]))]
     weights = [1 << t for t in shifts]
     base = lo * sum(weights)
+    packed = {i: _pack(terms, weights, base) for i, terms in operands.items()}
+
+    def keyed(terms, direction):  # the terms on packed keys, differentiated
+        if not direction:
+            return packed[id(terms)]
+        slot, step = direction[0], direction[1] * weights[direction[0]]
+        return [(p - step, n * k[slot])
+                for (p, _), (k, n) in zip(packed[id(terms)], terms) if k[slot]]
+
     sums: dict[int, int] = {}
     get = sums.get
-    for sign, d, left, right in scaled:
+    for sign, d, a, va, b, vb in products:
         factor = sign * (den // d)
-        right = [(sum(map(mul, k, weights)) - base, n) for k, n in right]
-        for k, na in left:
-            ka = sum(map(mul, k, weights)) - base
+        right = keyed(b, vb)
+        for ka, na in keyed(a, va):
             na *= factor
             for kb, nb in right:
                 key = ka + kb
@@ -109,25 +135,27 @@ def _packed_products(scaled: Products, den: int) -> dict[tuple, int]:
     return dict(zip(zip(*slots), [sums[k] for k in keys]))
 
 
-def sum_of_products(triples: Iterable[tuple[int, Scaled, Scaled]]
+def sum_of_products(triples: Iterable[tuple[int, tuple, tuple]]
                     ) -> tuple[int, dict[tuple, int]]:
     """The sum of sign * a * b over (sign, a, b) triples, exactly, as
     (den, {exponent tuple: integer numerator over den}).
 
-    Each operand is integer numerators over a denominator, as a PhasePoly
-    stores its terms, and every pair of every product accumulates into one
-    integer dict over one common denominator.  A term that cancels reads 0
-    or is left out.  Exponents are added as packed integer keys when the
-    products have more than _PACK_RATIO pairs per operand term, as tuples
-    otherwise.
+    Each factor is (operand, direction): integer numerators over a
+    denominator, as a PhasePoly stores its terms, and the (slot, scale) of
+    a derivative to take of them (see partial), or None.  Every pair of
+    every product accumulates into one integer dict over one common
+    denominator.  A term that cancels reads 0 or is left out.  Exponents
+    are added as packed integer keys when the operands' own products have
+    more than _PACK_RATIO pairs per operand term, as tuples otherwise.
     """
-    scaled, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
-    for sign, (da, left), (db, right) in triples:
-        if left and right:
-            scaled.append((sign, da * db, left, right))
-            den = lcm(den, da * db)
-            excess += len(left) * len(right) - _PACK_RATIO * (len(left) + len(right))
-    return den, (_packed_products if excess > 0 else _tuple_products)(scaled, den)
+    products, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
+    for sign, ((da, a), va), ((db, b), vb) in triples:
+        if (la := len(a)) and (lb := len(b)):
+            d = da * db * (va[1] if va else 1) * (vb[1] if vb else 1)
+            products.append((sign, d, a, va, b, vb))
+            den = lcm(den, d)
+            excess += la * lb - _PACK_RATIO * (la + lb)
+    return den, (_packed_products if excess > 0 else _tuple_products)(products, den)
 
 
 # read only by the TARGETS of bench/tracing.py; ROADMAP item 1 retires it

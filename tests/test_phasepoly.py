@@ -62,6 +62,23 @@ def test_a_sum_reduces_and_leaves_its_operands_as_they_were():
     assert (h.den, h.nums) == (1, {Term(ex=1): 1, Term(epx=1): 1})
 
 
+def test_a_result_is_reduced_by_the_gcd_of_its_denominator_and_every_numerator():
+    def wrapped(den, nums):
+        p = PhasePoly._wrap(den, {Term(ex=i): n for i, n in enumerate(nums)})
+        return p.den, list(p.nums.values())
+
+    assert wrapped(6, [5, 3, 9]) == (6, [5, 3, 9])  # the gcd is 1 at the first term
+    assert wrapped(6, [3, 9, 15]) == (2, [1, 3, 5])  # 3 divides every term
+    assert wrapped(12, [6, 9, 15]) == (4, [2, 3, 5])  # 6 at the first term, then 3
+    assert wrapped(6, [3, 9, 15, 4]) == (6, [3, 9, 15, 4])  # 1 only at the last term
+    assert wrapped(1, [4, 6]) == (1, [4, 6])
+    sixths = Fraction(1, 6) * X + Fraction(3, 6) * PX + Fraction(5, 6) * PY
+    assert (sixths.den, sixths.nums) == (6, {Term(ex=1): 1, Term(epx=1): 3, Term(epy=1): 5})
+    # the last sum is 3, 9, 15 over 6 before it is reduced
+    halves = sixths + sixths + sixths
+    assert (halves.den, halves.nums) == (2, {Term(ex=1): 1, Term(epx=1): 3, Term(epy=1): 5})
+
+
 def test_multiplication_merges_exponents():
     assert upow(-2) * U**5 == U**3
     assert (X * PX) * (X * PY) == X**2 * PX * PY
@@ -99,14 +116,60 @@ def test_the_key_layout_follows_the_operand_sizes(monkeypatch):
 
 
 def test_the_paper_suite_adds_tuple_keys_and_the_ladder_packed_keys(monkeypatch):
-    seen = _key_layouts(monkeypatch)
+    """Every kernel call of the suite adds tuple keys but the bracket of
+    conserved_J_h3_6_k, whose operands (15 and 6 terms) make 90 pairs, past
+    _PACK_RATIO * 21."""
+    seen, packing = _key_layouts(monkeypatch), []
+    for kind in ("conserved", "identity", "vf_relation", "lie_closure"):
+        def spy(*args, check=getattr(verify, f"check_{kind}")):
+            start = len(seen)
+            failure = check(*args)
+            packing.append("packed" in seen[start:])
+            return failure
+        monkeypatch.setattr(verify, f"check_{kind}", spy)
     assert verify.full_suite().all_passed
-    assert set(seen) == {"tuple"}
+    assert [claim[0] for claim, packs in zip(verify.CLAIMS, packing, strict=True)
+            if packs] == ["conserved_J_h3_6_k"]
+    assert seen.count("packed") == 1
     A, B = catalog.build("K3_4").expression, catalog.build("K2_3").expression
     A2, B2 = A**2, B**2
     del seen[:]
     poisson_bracket(A2, B2)
     assert seen == ["packed"]
+
+
+def test_a_packed_bracket_packs_each_operand_once(monkeypatch):
+    packed = []
+    pack = ring._pack
+    monkeypatch.setattr(ring, "_pack", lambda terms, *args: packed.append(len(terms))
+                        or pack(terms, *args))
+    f, g = catalog.build("K3_4").expression ** 2, catalog.build("K2_3").expression ** 2
+    assert poisson_bracket(f, g) == 108 * 4 * K2**3 * catalog.build("K3_4").expression \
+        * catalog.build("K2_3").expression
+    assert sorted(packed) == sorted([len(f.nums), len(g.nums)])
+    # a field applied to f packs f once and each component once
+    field = hamiltonian_vf(g)
+    del packed[:]
+    applied = field.apply(f)
+    assert sorted(packed) == sorted([len(f.nums), *(len(c.nums) for c in field)])
+    assert applied == poisson_bracket(f, g)
+
+
+def test_the_ladder_rungs_pack_but_the_two_smallest(monkeypatch):
+    """{K3_4^a, K2_3^b} packs exactly when |A| * |B| > _PACK_RATIO * (|A| +
+    |B|), which 6 x 5 and 20 x 5 (on the edge: 100 = 4 * 25) terms are not."""
+    seen = _key_layouts(monkeypatch)
+    for k2, k3 in ((None, None), LADDER_K):
+        A = catalog.build("K3_4").expression.substitute_params(k2=k2, k3=k3)
+        B = catalog.build("K2_3").expression.substitute_params(k2=k2, k3=k3)
+        powers = [(a, b, A**a, B**b) for a in range(1, 5) for b in range(1, 4)]
+        layouts = {}
+        for a, b, Aa, Bb in powers:
+            del seen[:]
+            poisson_bracket(Aa, Bb)
+            layouts[a, b], = seen
+        assert [rung for rung, layout in layouts.items() if layout == "tuple"] == [(1, 1), (2, 1)]
+        assert set(layouts.values()) == {"tuple", "packed"}
 
 
 LADDER_K = (Fraction(13, 17), Fraction(-19, 23))

@@ -14,11 +14,13 @@ from holtkit.dynamics import DriftReport, InvariantDrift, Trajectory, drift_repo
 from holtkit.parsing import parse_expression
 from holtkit.phasepoly import (
     PX,
+    PY,
     DomainError,
     PhasePoly,
     Term,
     VectorField,
     X,
+    Y,
     compile_all,
     hamiltonian_vf,
     poisson_bracket,
@@ -149,11 +151,31 @@ _BIG = PhasePoly({Term(ex=2**31, eu=-2**31, epx=1): Fraction(1, 2),
 _WIDE = PhasePoly({Term(ex=2**31 + i, eu=i - 2**31, epx=i % 2, epy=1, k2=i): Fraction(1, i + 1)
                    for i in range(9)})
 
+# packed brackets and fields whose derivatives reach past the operands' own
+# exponents: d/dy takes u^1 and u^2 below every exponent of both operands
+_LOW_U = PhasePoly({Term(ex=i, eu=1 + i % 2, epy=1 + i % 3): Fraction(i + 1, 3)
+                    for i in range(9)})
+_LOW_U2 = PhasePoly({Term(ex=i % 4, eu=1 + i, epx=1 + i % 2): Fraction(2 * i - 7, 5)
+                     for i in range(10)})
+# every exponent of both operands is at least 1, so every derivative falls
+# below their least exponent
+_ONES = PhasePoly({Term(1 + i, 1 + i % 3, 1 + i % 2, 1, 1, 1 + i % 4, 1): Fraction(-1) ** i
+                   for i in range(9)})
+_ONES2 = PhasePoly({Term(1 + i % 3, 2 + i, 1, 1 + i % 2, 1 + i % 2, 1, 2): Fraction(i + 1, 7)
+                    for i in range(10)})
+# exponents past 2^63, on both sides of zero in u
+_HUGE = PhasePoly({Term(ex=2**64 + i, eu=(-1) ** i * (2**63 + i), epx=i % 3,
+                        epy=2**63 + i % 2, k1=i % 2): Fraction(2 * i - 9, 1 + i % 3)
+                   for i in range(10)})
+
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_polys, kernel_polys, kernel_polys, kernel_polys)
 @example(_BIG, _BIG + X, PX, PhasePoly())
 @example(_WIDE, _WIDE - X**2, _WIDE * PX, _BIG)
+@example(_LOW_U, _LOW_U2, _LOW_U * PX + Y, _LOW_U2)
+@example(_ONES, _ONES2, _ONES2 * PY - X, _ONES)
+@example(_HUGE, _HUGE + PY**3 * X, _HUGE * PX - X, _HUGE)
 @example(X**2 + upow(-1), X**2 - upow(-1), X * PX, PhasePoly.constant(Fraction(1, 3)))
 def test_the_kernel_matches_a_pairwise_fraction_loop(f, g, h, k):
     assert _same_terms(f * g, _pairwise([(1, f, g)]))

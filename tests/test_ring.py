@@ -85,11 +85,12 @@ def test_equality_against_numbers():
 
 def test_sum_of_products_on_plain_exponent_tuples():
     assert ring.sum_of_products([]) == (1, {})
-    # scaled operands (den, [(exponents, numerator)]) in x and y
-    plus = (2, [((1, 0), 2), ((0, 0), 1)])  # x + 1/2
-    minus = (2, [((1, 0), 2), ((0, 0), -1)])  # x - 1/2
-    third_y = (3, [((0, 1), 1)])
-    empty = (1, [])
+    # factors (operand, direction) of operands (den, [(exponents, numerator)])
+    # in x and y, each taken as it is (direction None)
+    plus = ((2, [((1, 0), 2), ((0, 0), 1)]), None)  # x + 1/2
+    minus = ((2, [((1, 0), 2), ((0, 0), -1)]), None)  # x - 1/2
+    third_y = ((3, [((0, 1), 1)]), None)
+    empty = ((1, []), None)
     den, sums = ring.sum_of_products([(1, plus, minus), (-1, third_y, third_y),
                                       (1, third_y, empty)])
     # x^2 - 1/4 - 1/9 y^2 over 36; the x terms cancel
@@ -99,14 +100,26 @@ def test_sum_of_products_on_plain_exponent_tuples():
     assert den == 4 and not any(sums.values())
 
 
+def test_sum_of_products_differentiates_a_factor_along_its_direction():
+    # (y^4 + 7x) / 5, whose slot 1 has scale 2 here (as if y = v^2): its
+    # derivative along that slot is 4/10 y^2, times x + 1/2
+    y4 = (5, [((0, 4), 1), ((1, 0), 7)])
+    plus = ((2, [((1, 0), 2), ((0, 0), 1)]), None)
+    den, sums = ring.sum_of_products([(1, (y4, (1, 2)), plus)])
+    assert den == 20 and {k: n for k, n in sums.items() if n} == {(1, 2): 8, (0, 2): 4}
+    assert ring.partial(y4[1], (1, 2)) == [((0, 2), 4)]
+    assert ring.partial(y4[1], (0, 1)) == [((0, 0), 7)]
+
+
 def test_sum_of_products_adds_the_same_terms_in_either_key_layout():
     # nine terms times nine is more than ring._PACK_RATIO pairs per operand
     # term, so these products add packed keys; one term times nine adds tuples
-    wide = (1, [((i, -i), i + 1) for i in range(9)])
+    wide = ((1, [((i, -i), i + 1) for i in range(9)]), None)
     packed = ring.sum_of_products([(1, wide, wide), (-1, wide, wide)])
     assert packed[0] == 1 and not any(packed[1].values())
     square = ring.sum_of_products([(1, wide, wide)])
-    by_term = [ring.sum_of_products([(1, (1, [term]), wide)])[1] for term in wide[1]]
+    by_term = [ring.sum_of_products([(1, ((1, [term]), None), wide)])[1]
+               for term in wide[0][1]]
     expected = {}
     for sums in by_term:
         for k, n in sums.items():
