@@ -10,8 +10,16 @@ Grammar (whitespace-insensitive between tokens):
 
 A leading '-' on the first term is allowed.  Exponents are signed integers
 but only u may carry a negative one; y is sugar for u^3 and therefore only
-accepts non-negative exponents.  render() output of ring and phasepoly
-parses back to an equal value.
+accepts non-negative exponents.  PhasePoly.render() output parses back to
+an equal value.
+
+Two readers share the work.  Canonical text, the form render() writes and
+the catalog stores, is read with string methods alone: terms joined by
+" + " and " - ", a '-' only before the first term, no other whitespace,
+ASCII digits, and only u carrying a '-' exponent.  Every other text goes
+to the token walker, which reads the whole grammar and writes every
+ParseError; the reader gives up on any text it does not take, so an error
+and its position always come from the walker.
 
 The names, and the Term slot each one fills, come from phasepoly.SLOTS.
 """
@@ -68,7 +76,60 @@ def _start(text: str, index: int) -> int:
 
 
 def parse_expression(text: str) -> PhasePoly:
-    """Parse canonical expression text into an exact PhasePoly."""
+    """Parse expression text into an exact PhasePoly."""
+    rows = _read_canonical(text)
+    return PhasePoly._from_rows(_walk(text) if rows is None else rows)
+
+
+def _read_canonical(text: str) -> list[tuple[Term, int, int]] | None:
+    """The (Term, numerator, denominator) rows of canonical text, or None
+    for any text that is not canonical, which _walk then reads."""
+    if not text.isascii():  # so isdigit() means 0-9
+        return None
+    rows = []
+    negative = text[:1] == "-"
+    sign = -1 if negative else 1
+    for chunk in text[negative:].split(" - "):
+        for term in chunk.split(" + "):
+            factors = term.split("*")
+            num, slash, den = factors[0].partition("/")
+            n = d = 1
+            if num.isdigit():
+                if slash and not den.isdigit():
+                    return None
+                try:
+                    n, d = int(num), int(den) if slash else 1
+                except ValueError:  # beyond sys.get_int_max_str_digits()
+                    return None
+                if not d:
+                    return None
+                del factors[0]
+            exponents = [0] * len(Term._fields)
+            for factor in factors:
+                name, caret, power = factor.partition("^")
+                if name not in SLOTS:
+                    return None
+                e = 1
+                if caret:
+                    minus = name == "u" and power[:1] == "-"
+                    if not power[minus:].isdigit():
+                        return None
+                    try:
+                        e = int(power)
+                    except ValueError:
+                        return None
+                slot, scale = SLOTS[name]
+                exponents[slot] += scale * e
+            rows.append((_term(exponents), sign * n, d))
+            sign = 1
+        sign = -1
+    return rows
+
+
+def _walk(text: str) -> list[tuple[Term, int, int]]:
+    """The (Term, numerator, denominator) rows of any expression text, read
+    token by token; raises ParseError at the first token that breaks the
+    grammar."""
     tokens = _tokenize(text)
     op = tokens[0]
     i = 1 if op in ("+", "-") else 0  # index of the next unread token
@@ -131,7 +192,7 @@ def parse_expression(text: str) -> PhasePoly:
 
         op = tokens[i]
         if not op and i + 1 == len(tokens):  # read to the end of the text
-            return PhasePoly._from_rows(rows)
+            return rows
         if op not in ("+", "-"):
             raise error("expected '+' or '-' between terms")
         i += 1

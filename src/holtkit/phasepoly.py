@@ -340,9 +340,10 @@ class PhasePoly:
             return "0"
         text = ""
         for t in sorted(nums, key=_SORT_KEY, reverse=True):
-            n = nums[t]
-            g = gcd(n, den)
-            n, d = n // g, den // g
+            n, d = nums[t], den
+            if d != 1:  # a gcd with 1 is 1
+                g = gcd(n, d)
+                n, d = n // g, d // g
             factors = [name if e == 1 else f"{name}^{e}"
                        for name, e in zip(_RENDER_NAMES, t[4:] + t[:4]) if e]
             if d != 1:

@@ -7,14 +7,18 @@ size, and sixth-degree randomized products would only burn time.
 from fractions import Fraction
 from math import gcd
 from operator import neg
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from holtkit import catalog, parsing
 from holtkit.dynamics import DriftReport, InvariantDrift, Trajectory, drift_report
-from holtkit.parsing import parse_expression
+from holtkit.parsing import ParseError, parse_expression
 from holtkit.phasepoly import (
     PX,
     PY,
+    SLOTS,
     DomainError,
     PhasePoly,
     Term,
@@ -41,7 +45,6 @@ param_polys = st.dictionaries(param_terms, fractions, min_size=0, max_size=2).ma
 monomials = st.tuples(exponents, st.integers(-3, 3), exponents, exponents).map(lambda e: Term(*e))
 
 phase_polys = st.dictionaries(monomials, fractions, min_size=0, max_size=3).map(PhasePoly)
-nonzero_phase_polys = phase_polys.filter(lambda p: not p.is_zero)
 
 
 @settings(max_examples=80, deadline=None)
@@ -186,12 +189,6 @@ def test_the_kernel_matches_a_pairwise_fraction_loop(f, g, h, k):
     assert _same_terms(field.apply(h), _pairwise(
         [(1, c, h.diff(var)) for c, var in zip(field, ("x", "y", "px", "py"))]))
     assert hamiltonian_vf(f).apply(f).is_zero
-
-
-@settings(max_examples=80, deadline=None)
-@given(nonzero_phase_polys)
-def test_render_parse_round_trip(f):
-    assert parse_expression(f.render()) == f
 
 
 @settings(max_examples=50, deadline=None)
@@ -381,3 +378,77 @@ def test_fused_evaluator_shares_powers_across_polynomials():
     values = compile_all(polys)(*point)
     assert sorted(CountingFloat.powers) == [2, 3]  # px**2 and px**3 once each
     assert repr(values) == repr(tuple(p.evaluate(*point) for p in polys))
+
+
+# pieces of expression text, canonical and not: names, ASCII and non-ASCII
+# digits, operators, whitespace, the canonical " + " and " - ", and an
+# integer past int()'s default limit of 4300 digits
+_LONG = "9" * 5000
+_SOUP = [*SLOTS, "0", "1", "2", "12", "007", "\u0663", "\u00b2", "/", "*", "^", "^-",
+         "-", "+", " ", "\t", "\n", " + ", " - ", "&", _LONG]
+token_soups = st.lists(st.sampled_from(_SOUP), max_size=12).map("".join)
+
+# texts shaped like canonical ones, most of them canonical and the rest
+# breaking one rule: a zero denominator, a '-' exponent off u, a digit or
+# a separator the reader must leave to the walker
+_COEFFICIENTS = ["1", "12", "007", "3/4", "0/5", "1/0", "\u0663", _LONG, f"1/{_LONG}"]
+_FACTORS = [f"{name}{power}" for name in SLOTS
+            for power in ("", "^2", "^-1", "^-0", "^\u0663", f"^{_LONG}")]
+_terms = st.builds(lambda c, fs: "*".join(c + fs),
+                   st.lists(st.sampled_from(_COEFFICIENTS), max_size=1),
+                   st.lists(st.sampled_from(_FACTORS), max_size=3))
+term_soups = st.builds(
+    lambda lead, first, rest: lead + first + "".join(s + t for s, t in rest),
+    st.sampled_from(["", "-", "+", " "]), _terms,
+    st.lists(st.tuples(st.sampled_from([" + ", " - ", "+", " -", "\t+ "]), _terms),
+             max_size=3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(token_soups, term_soups))
+@example("-3/4*k2*x^2*u^-5 - px + 7")
+@example("007*x^0 + u^-0 - y^2*u^-6")
+@example("x^-0")
+@example("0")
+@example("\u0663*x")
+@example("x - -y")
+@example("x + - y")
+@example("2*")
+def test_the_canonical_reader_agrees_with_the_token_walker(text):
+    rows = parsing._read_canonical(text)
+    try:
+        walked = parsing._walk(text)
+    except ParseError as walker_error:
+        assert rows is None
+        with pytest.raises(ParseError) as exc_info:
+            parse_expression(text)
+        assert (exc_info.value.pos, str(exc_info.value)) == (walker_error.pos, str(walker_error))
+    else:
+        assert rows is None or rows == walked
+        got, want = parse_expression(text), PhasePoly._from_rows(walked)
+        assert (got.den, got.nums) == (want.den, want.nums)
+
+
+def _walker_off():
+    """parsing._tokenize replaced by a failure, so only the canonical reader
+    can parse."""
+    failure = AssertionError("canonical text reached the token walker")
+    return mock.patch.object(parsing, "_tokenize", side_effect=failure)
+
+
+def test_catalog_text_and_a_ladder_bracket_never_reach_the_token_walker():
+    K3_4, K2_3 = (catalog.build(name).expression for name in ("K3_4", "K2_3"))
+    ladder = poisson_bracket(K3_4**4, K2_3**3)
+    with _walker_off():
+        for name in catalog.names():
+            expr = catalog.build(name).expression
+            for part in (expr,) if isinstance(expr, PhasePoly) else expr:
+                assert parse_expression(part.render()) == part, name
+        assert parse_expression(ladder.render()) == ladder
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(phase_polys, parametric_polys))
+def test_render_parse_round_trip(p):
+    with _walker_off():
+        assert parse_expression(p.render()) == p
