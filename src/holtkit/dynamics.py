@@ -300,8 +300,8 @@ def _format_in_blocks(traj: Trajectory, processes: int) -> str:
 
     A child leaves only through os._exit, with 0 only once its whole block
     is written.  Every child is reaped, and this process formats each block
-    whose child did not exit with 0, or could not be forked, so a child can
-    cost time but never change or lose a row.
+    whose child did not exit with 0, or could not be given a pipe or be
+    forked, so a child can cost time but never change or lose a row.
     """
     n, columns = len(traj), traj.columns
     bounds = [n * i // processes for i in range(processes + 1)]
@@ -309,12 +309,13 @@ def _format_in_blocks(traj: Trajectory, processes: int) -> str:
     children = []  # (block, pid, read end of its pipe)
     try:
         for i in range(1, processes):
-            read_end, write_end = os.pipe()
+            pipe = ()  # the ends opened so far
             try:
+                pipe = read_end, write_end = os.pipe()
                 pid = os.fork()
-            except OSError:  # no process to be had: this one formats the rest
-                os.close(read_end)
-                os.close(write_end)
+            except OSError:  # no pipe or no process to be had: this one formats the rest
+                for fd in pipe:
+                    os.close(fd)
                 break
             if pid == 0:  # the child sends block i and leaves at once
                 code = 1

@@ -31,11 +31,9 @@ import re
 from .phasepoly import SLOTS, PhasePoly, Term, _term
 
 # longest names first: an alternation takes the first alternative that
-# matches.  Where no symbol matches, the catch-all takes the rest of the text
-# as one token, so only the last token can be one that is not a symbol.
+# matches.  A character that starts no symbol reads as the token "".
 _NAMES = "|".join(sorted(SLOTS, key=len, reverse=True))
-_TOKEN = re.compile(rf"\s*({_NAMES}|\d+|[-+*/^]|\S.*)", re.DOTALL)
-_OPERATORS = frozenset("+-*/^")
+_TOKEN = re.compile(rf"\s*(?:({_NAMES}|\d+|[-+*/^])|\S)")
 
 
 class ParseError(ValueError):
@@ -48,25 +46,9 @@ class ParseError(ValueError):
         super().__init__(f"{reason} at position {pos}: {text[pos:pos + 12]!r}")
 
 
-def _tokenize(text: str) -> list[str]:
-    """The symbols of text, closed by "" where reading stops.
-
-    The text was read to its end (trailing whitespace aside) unless "" is
-    followed by one more token: the rest of the text from the first
-    character that starts no symbol.
-    """
-    tokens = _TOKEN.findall(text)
-    last = tokens[-1] if tokens else ""
-    if last and not (last in SLOTS or last in _OPERATORS or last.isdecimal()):
-        tokens.insert(-1, "")
-    else:
-        tokens.append("")
-    return tokens
-
-
 def _start(text: str, index: int) -> int:
-    """Where token index of _tokenize(text) starts: where the whitespace
-    before it starts, which is the end of the token before it."""
+    """Where token index of _TOKEN.findall(text) starts: where the
+    whitespace before it starts, which is the end of the token before it."""
     end = 0
     for n, m in enumerate(_TOKEN.finditer(text)):
         if n == index:
@@ -89,40 +71,37 @@ def _read_canonical(text: str) -> list[tuple[Term, int, int]] | None:
     rows = []
     negative = text[:1] == "-"
     sign = -1 if negative else 1
-    for chunk in text[negative:].split(" - "):
-        for term in chunk.split(" + "):
-            factors = term.split("*")
-            num, slash, den = factors[0].partition("/")
-            n = d = 1
-            if num.isdigit():
-                if slash and not den.isdigit():
-                    return None
-                try:
+    try:  # int() refuses digits beyond sys.get_int_max_str_digits()
+        for chunk in text[negative:].split(" - "):
+            for term in chunk.split(" + "):
+                factors = term.split("*")
+                num, slash, den = factors[0].partition("/")
+                n = d = 1
+                if num.isdigit():
+                    if slash and not den.isdigit():
+                        return None
                     n, d = int(num), int(den) if slash else 1
-                except ValueError:  # beyond sys.get_int_max_str_digits()
-                    return None
-                if not d:
-                    return None
-                del factors[0]
-            exponents = [0] * len(Term._fields)
-            for factor in factors:
-                name, caret, power = factor.partition("^")
-                if name not in SLOTS:
-                    return None
-                e = 1
-                if caret:
-                    minus = name == "u" and power[:1] == "-"
-                    if not power[minus:].isdigit():
+                    if not d:
                         return None
-                    try:
+                    del factors[0]
+                exponents = [0] * len(Term._fields)
+                for factor in factors:
+                    name, caret, power = factor.partition("^")
+                    if name not in SLOTS:
+                        return None
+                    e = 1
+                    if caret:
+                        minus = name == "u" and power[:1] == "-"
+                        if not power[minus:].isdigit():
+                            return None
                         e = int(power)
-                    except ValueError:
-                        return None
-                slot, scale = SLOTS[name]
-                exponents[slot] += scale * e
-            rows.append((_term(exponents), sign * n, d))
-            sign = 1
-        sign = -1
+                    slot, scale = SLOTS[name]
+                    exponents[slot] += scale * e
+                rows.append((_term(exponents), sign * n, d))
+                sign = 1
+            sign = -1
+    except ValueError:
+        return None
     return rows
 
 
@@ -130,13 +109,13 @@ def _walk(text: str) -> list[tuple[Term, int, int]]:
     """The (Term, numerator, denominator) rows of any expression text, read
     token by token; raises ParseError at the first token that breaks the
     grammar."""
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text) + [""]  # "" at the end, and for a stray character
     op = tokens[0]
     i = 1 if op in ("+", "-") else 0  # index of the next unread token
 
     def error(reason: str) -> ParseError:
-        if not tokens[i] and i + 2 == len(tokens):  # stopped at a character that starts no symbol
-            pos = len(text) - len(tokens[-1])
+        if not tokens[i] and i + 1 < len(tokens):  # a character that starts no symbol
+            pos = _start(text, i + 1) - 1  # the end of its token, less its one character
             return ParseError(text, pos, f"unexpected character {text[pos]!r}")
         return ParseError(text, _start(text, i), reason)
 

@@ -110,6 +110,8 @@ class PhasePoly:
         for key in terms:
             if len(key) != 7:
                 raise ValueError(f"expected 7 exponents, got {key}")
+            if not all(isinstance(e, int) for e in key):
+                raise TypeError(f"expected integer exponents, got {key}")
             if min(key[:1] + key[2:]) < 0:
                 raise ValueError(f"negative exponent outside u in {key}")
         coeffs = [(_term(k), _frac(c)) for k, c in terms.items()]

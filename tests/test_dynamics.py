@@ -370,6 +370,21 @@ def test_a_block_is_formatted_here_when_no_process_can_be_forked(long_runs, monk
         assert dynamics._format_in_blocks(traj, 3) == text
 
 
+def test_a_block_is_formatted_here_when_no_pipe_can_be_opened(long_runs, monkeypatch):
+    real, calls = os.pipe, []
+
+    def pipe():  # the first pipe opens, the second does not
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            raise OSError(24, "Too many open files")
+        return real()
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    for traj, text in long_runs:
+        assert dynamics._format_in_blocks(traj, 3) == text
+    _assert_no_child_left()
+
+
 def test_domain_error_type_hierarchy():
     assert issubclass(TrajectoryAborted, DomainError)
     assert issubclass(DomainError, ValueError)

@@ -107,6 +107,14 @@ MALFORMED = [
     ("x &  ", 2, "unexpected character '&'"),
     ("x\n&", 2, "unexpected character '&'"),
     ("x\t+ &\n", 4, "unexpected character '&'"),
+    # at each point where a token is expected
+    ("x^&", 2, "unexpected character '&'"),
+    ("x^-&", 3, "unexpected character '&'"),
+    ("1/&", 2, "unexpected character '&'"),
+    ("3/ &", 3, "unexpected character '&'"),
+    ("2*&", 2, "unexpected character '&'"),
+    ("-&", 1, "unexpected character '&'"),
+    ("+ &", 2, "unexpected character '&'"),
     ("x +\t", 3, "expected term"),
     ("x + -", 3, "expected variable or parameter name"),
     ("x*-1", 2, "expected variable or parameter name"),

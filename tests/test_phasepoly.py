@@ -465,7 +465,11 @@ GAMMA_H = catalog.build("Gamma_H").expression
     lambda: 0.5 * X,
     lambda: GAMMA_H - 1,
     lambda: GAMMA_H * 0.5,
-], ids=["constructor", "add", "radd", "sub", "rsub", "rmul", "field-sub-int", "field-mul"])
+    lambda: PhasePoly({(1.5, 0, 0, 0, 0, 0, 0): 1}),
+    lambda: PhasePoly({Term(ex=2.0): 1}),
+    lambda: PhasePoly({Term(ex=Fraction(2)): 1}),
+], ids=["constructor", "add", "radd", "sub", "rsub", "rmul", "field-sub-int", "field-mul",
+        "exponent-1.5", "exponent-2.0", "exponent-Fraction(2)"])
 def test_no_float_enters_the_exact_ring(make):
     with pytest.raises(TypeError):
         make()

@@ -430,10 +430,10 @@ def test_the_canonical_reader_agrees_with_the_token_walker(text):
 
 
 def _walker_off():
-    """parsing._tokenize replaced by a failure, so only the canonical reader
+    """parsing._walk replaced by a failure, so only the canonical reader
     can parse."""
     failure = AssertionError("canonical text reached the token walker")
-    return mock.patch.object(parsing, "_tokenize", side_effect=failure)
+    return mock.patch.object(parsing, "_walk", side_effect=failure)
 
 
 def test_catalog_text_and_a_ladder_bracket_never_reach_the_token_walker():
