@@ -1,9 +1,10 @@
 """Command-line interface: verify, bracket, catalog, simulate.
 
 Exit codes: 0 success, 1 verification failure, 2 argument errors or an
-unwritable --out, 3 trajectory domain abort (the y guard, a non-finite
-state or a numeric overflow), 141 stdout closed by its reader.  Stdout
-is deterministic for fixed arguments; timings go only into JSON reports.
+unwritable --out, 3 trajectory domain abort (a y-guard crossing, a
+non-finite state or an overflow that raises, not a coefficient folded to
+inf), 141 stdout closed by its reader.  Stdout is deterministic for fixed
+arguments; timings go only into JSON reports.
 """
 
 from __future__ import annotations

@@ -211,8 +211,9 @@ def drift_report(traj: Trajectory) -> DriftReport:
     """Normalized max deviation of each invariant the trajectory tracked.
 
     The largest |I - I0| starts at 0.0 and takes a deviation only when it is
-    larger, so a nan deviation never wins, and a column whose first value is
-    nan reads 0.0.
+    larger, so a nan deviation never wins.  A column whose first value is
+    nan keeps 0.0 as its largest deviation, but its scale max(|nan|, 1.0)
+    is nan, so its drift reads nan.
     """
     drifts = []
     for name, column in zip(traj.names[len(_STATE):], traj.columns[len(_STATE):]):

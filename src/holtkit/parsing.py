@@ -46,17 +46,6 @@ class ParseError(ValueError):
         super().__init__(f"{reason} at position {pos}: {text[pos:pos + 12]!r}")
 
 
-def _start(text: str, index: int) -> int:
-    """Where token index of _TOKEN.findall(text) starts: where the
-    whitespace before it starts, which is the end of the token before it."""
-    end = 0
-    for n, m in enumerate(_TOKEN.finditer(text)):
-        if n == index:
-            return m.start()
-        end = m.end()
-    return end
-
-
 def parse_expression(text: str) -> PhasePoly:
     """Parse expression text into an exact PhasePoly."""
     rows = _read_canonical(text)
@@ -108,16 +97,19 @@ def _read_canonical(text: str) -> list[tuple[Term, int, int]] | None:
 def _walk(text: str) -> list[tuple[Term, int, int]]:
     """The (Term, numerator, denominator) rows of any expression text, read
     token by token; raises ParseError at the first token that breaks the
-    grammar."""
-    tokens = _TOKEN.findall(text) + [""]  # "" at the end, and for a stray character
+    grammar, placed where the match that made it starts (the closing ""
+    where the last match ends)."""
+    matches = list(_TOKEN.finditer(text))
+    tokens = [m[1] or "" for m in matches] + [""]  # "" at the end, and for a stray character
+    starts = [m.start() for m in matches] + [matches[-1].end() if matches else 0]
     op = tokens[0]
     i = 1 if op in ("+", "-") else 0  # index of the next unread token
 
     def error(reason: str) -> ParseError:
         if not tokens[i] and i + 1 < len(tokens):  # a character that starts no symbol
-            pos = _start(text, i + 1) - 1  # the end of its token, less its one character
+            pos = starts[i + 1] - 1  # the end of its match, less its one character
             return ParseError(text, pos, f"unexpected character {text[pos]!r}")
-        return ParseError(text, _start(text, i), reason)
+        return ParseError(text, starts[i], reason)
 
     def integer() -> int:
         nonlocal i
@@ -144,7 +136,7 @@ def _walk(text: str) -> list[tuple[Term, int, int]]:
                 i += 1
                 den = integer()
                 if den == 0:  # an error in what was read, named before what follows
-                    raise ParseError(text, _start(text, i), "zero denominator")
+                    raise ParseError(text, starts[i], "zero denominator")
             more = tokens[i] == "*"
             if not more and tokens[i] in SLOTS:
                 raise error("missing '*' after numeric coefficient")
@@ -162,7 +154,7 @@ def _walk(text: str) -> list[tuple[Term, int, int]]:
                 exponent = -integer() if negative else integer()
             if exponent < 0 and name != "u":  # as for a zero denominator
                 reason = f"negative exponent only allowed on u, not {name}"
-                raise ParseError(text, _start(text, i), reason)
+                raise ParseError(text, starts[i], reason)
             slot, scale = SLOTS[name]
             exponents[slot] += scale * exponent
             more = tokens[i] == "*"

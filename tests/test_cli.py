@@ -457,6 +457,18 @@ def test_simulate_exit_3_stderr_is_pinned(tmp_path, capsys, extra, stderr):
     assert not out_path.exists()
 
 
+def test_an_invariant_coefficient_folded_to_inf_is_not_an_exit_3(capsys):
+    """6*k2 folds to inf at k2 = 1e308 without raising, so the invariant
+    reads nan and inf, its drift nan, and the run still exits 0: exit 3
+    takes an overflow only when it raises."""
+    code, out, err = run(capsys, "simulate", "--potential", "V_h1", "--k2", "1e308",
+                         "--start", "0,1,0.5,0.5", "--h", "0.001", "--t-end", "0.002",
+                         "--invariants", "J_h1_3_k")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == \
+        "drift J_h1_3_k: initial = nan, max|dI|/max(|I0|,1) = nan"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify",),
     ("simulate", "--potential", "U", "--k2", "1", "--start", "0,1,0.5,0.5", "--t-end", "0.01"),
