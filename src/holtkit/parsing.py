@@ -21,14 +21,14 @@ to the token walker, which reads the whole grammar and writes every
 ParseError; the reader gives up on any text it does not take, so an error
 and its position always come from the walker.
 
-The names, and the Term slot each one fills, come from phasepoly.SLOTS.
+The names, and the exponent slot each one fills, come from phasepoly.SLOTS.
 """
 
 from __future__ import annotations
 
 import re
 
-from .phasepoly import SLOTS, PhasePoly, Term, _term
+from .phasepoly import SLOTS, PhasePoly, Term
 
 # longest names first: an alternation takes the first alternative that
 # matches.  A character that starts no symbol reads as the token "".
@@ -52,9 +52,9 @@ def parse_expression(text: str) -> PhasePoly:
     return PhasePoly._from_rows(_walk(text) if rows is None else rows)
 
 
-def _read_canonical(text: str) -> list[tuple[Term, int, int]] | None:
-    """The (Term, numerator, denominator) rows of canonical text, or None
-    for any text that is not canonical, which _walk then reads."""
+def _read_canonical(text: str) -> list[tuple[tuple, int, int]] | None:
+    """The (exponent tuple, numerator, denominator) rows of canonical text,
+    or None for any text that is not canonical, which _walk then reads."""
     if not text.isascii():  # so isdigit() means 0-9
         return None
     rows = []
@@ -86,7 +86,7 @@ def _read_canonical(text: str) -> list[tuple[Term, int, int]] | None:
                         e = int(power)
                     slot, scale = SLOTS[name]
                     exponents[slot] += scale * e
-                rows.append((_term(exponents), sign * n, d))
+                rows.append((tuple(exponents), sign * n, d))
                 sign = 1
             sign = -1
     except ValueError:
@@ -94,11 +94,11 @@ def _read_canonical(text: str) -> list[tuple[Term, int, int]] | None:
     return rows
 
 
-def _walk(text: str) -> list[tuple[Term, int, int]]:
-    """The (Term, numerator, denominator) rows of any expression text, read
-    token by token; raises ParseError at the first token that breaks the
-    grammar, placed where the match that made it starts (the closing ""
-    where the last match ends)."""
+def _walk(text: str) -> list[tuple[tuple, int, int]]:
+    """The (exponent tuple, numerator, denominator) rows of any expression
+    text, read token by token; raises ParseError at the first token that
+    breaks the grammar, placed where the match that made it starts (the
+    closing "" where the last match ends)."""
     matches = list(_TOKEN.finditer(text))
     tokens = [m[1] or "" for m in matches] + [""]  # "" at the end, and for a stray character
     starts = [m.start() for m in matches] + [matches[-1].end() if matches else 0]
@@ -159,7 +159,7 @@ def _walk(text: str) -> list[tuple[Term, int, int]]:
             exponents[slot] += scale * exponent
             more = tokens[i] == "*"
             i += more
-        rows.append((_term(exponents), -num if op == "-" else num, den))
+        rows.append((tuple(exponents), -num if op == "-" else num, den))
 
         op = tokens[i]
         if not op and i + 1 == len(tokens):  # read to the end of the text

@@ -7,14 +7,14 @@ the ring closes under multiplication, and d/dy acts on monomials as
 u^n -> (n/3) u^(n-3).  Only the u exponent may be negative.
 
 A PhasePoly is one flat sparse polynomial over the rationals, stored as
-the integer kernel (ring.sum_of_products) reads it: a positive integer
-denominator den and a dict nums from a Term, the seven exponents (x, u, px,
-py, k1, k2, k3), to a nonzero integer numerator, in lowest terms, so that
-gcd(den, *nums.values()) == 1 and zero is (1, {}).  Fractions appear only
-at the edges: the constructor's coefficients, substitute_params' values,
-and the terms mapping, built on access.  The couplings k1, k2, k3 are
-never differentiated, so equality to zero stays decidable and every
-identity check here is a proof.
+the integer kernel (ring.sum_of_products) reads and returns it: a positive
+integer denominator den and a dict nums from a plain tuple of the seven
+exponents (x, u, px, py, k1, k2, k3) to a nonzero integer numerator, in
+lowest terms, so that gcd(den, *nums.values()) == 1 and zero is (1, {}).
+Fractions and Terms appear only at the edges: the constructor's keys and
+coefficients, substitute_params' values, and the terms mapping, built on
+access.  The couplings k1, k2, k3 are never differentiated, so equality to
+zero stays decidable and every identity check here is a proof.
 
 The Poisson bracket convention is
 
@@ -83,10 +83,6 @@ _RENDER_NAMES = ("k1", "k2", "k3", "x", "u", "px", "py")
 FloatTerms = tuple[tuple[float, int, int, int, int], ...]
 
 
-def _term(exponents: tuple) -> Term:
-    return tuple.__new__(Term, exponents)
-
-
 def _frac(value) -> Scalar:
     if isinstance(value, (int, Fraction)):
         return value
@@ -94,7 +90,7 @@ def _frac(value) -> Scalar:
 
 
 class PhasePoly:
-    """Sparse sum of Terms with nonzero rational coefficients, stored as
+    """Sparse sum of terms with nonzero rational coefficients, stored as
     integer numerators nums over one positive denominator den, in lowest
     terms.
 
@@ -114,13 +110,13 @@ class PhasePoly:
                 raise TypeError(f"expected integer exponents, got {key}")
             if min(key[:1] + key[2:]) < 0:
                 raise ValueError(f"negative exponent outside u in {key}")
-        coeffs = [(_term(k), _frac(c)) for k, c in terms.items()]
+        coeffs = [(tuple(k), _frac(c)) for k, c in terms.items()]
         return cls._from_rows((k, c.numerator, c.denominator) for k, c in coeffs)
 
     @classmethod
-    def _from_rows(cls, rows: Iterable[tuple[Term, int, int]]) -> "PhasePoly":
-        """The sum of (Term, numerator, denominator) rows, each denominator
-        positive; rows on one Term add up."""
+    def _from_rows(cls, rows: Iterable[tuple[tuple, int, int]]) -> "PhasePoly":
+        """The sum of (exponent tuple, numerator, denominator) rows, each
+        denominator positive; rows on one exponent tuple add up."""
         rows = list(rows)
         # reduce, not lcm(*...), whose argument tuple can stay on CPython's free lists
         den = reduce(lcm, (d for _, _, d in rows), 1)
@@ -128,7 +124,7 @@ class PhasePoly:
 
     @classmethod
     def _wrap(cls, den: int, nums: dict) -> "PhasePoly":
-        """Trusted constructor: den > 0 and nums maps Terms to nonzero ints;
+        """Trusted constructor: den > 0 and nums maps tuples to nonzero ints;
         their running gcd, which stops at 1, reduces the pair to lowest terms."""
         g = den
         for n in nums.values() if den != 1 else ():  # a gcd with 1 is 1
@@ -144,7 +140,7 @@ class PhasePoly:
     def terms(self) -> dict[Term, Fraction]:
         """Term -> Fraction coefficient, a new dict on each access."""
         den = self.den
-        return {k: Fraction(n, den) for k, n in self.nums.items()}
+        return {Term._make(k): Fraction(n, den) for k, n in self.nums.items()}
 
     def _operand(self) -> Scaled:
         return self.den, self.nums.items()
@@ -165,7 +161,7 @@ class PhasePoly:
     @property
     def momentum_order(self) -> int:
         """Highest total momentum degree over all terms (0 for the zero poly)."""
-        return max((t.epx + t.epy for t in self.nums), default=0)
+        return max((t[2] + t[3] for t in self.nums), default=0)
 
     @property
     def is_zero(self) -> bool:
@@ -222,16 +218,9 @@ class PhasePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._sum_of_products([(1, (self._operand(), None), (o._operand(), None))])
+        return self._wrap(*sum_of_products([(1, (self._operand(), None), (o._operand(), None))]))
 
     __rmul__ = __mul__
-
-    @classmethod
-    def _sum_of_products(cls, triples) -> "PhasePoly":
-        """ring.sum_of_products of (sign, a, b) triples of factors, reduced
-        with one gcd."""
-        den, sums = sum_of_products(triples)
-        return cls._wrap(den, {_term(k): n for k, n in sums.items() if n})
 
     def __pow__(self, exponent: int) -> "PhasePoly":
         """Repeated squaring; x**0 is the constant 1."""
@@ -255,8 +244,7 @@ class PhasePoly:
         direction = SLOTS.get(var, (_PARAM_SLOT, 0))
         if direction[0] >= _PARAM_SLOT:
             raise ValueError(f"unknown direction {var!r}")
-        return self._wrap(self.den * direction[1],
-                          {_term(k): n for k, n in partial(self.nums.items(), direction)})
+        return self._wrap(self.den * direction[1], dict(partial(self.nums.items(), direction)))
 
     def substitute_params(self, k1: Scalar | None = None, k2: Scalar | None = None,
                           k3: Scalar | None = None) -> "PhasePoly":
@@ -278,7 +266,7 @@ class PhasePoly:
                     num *= v.numerator ** key[i]
                     den *= v.denominator ** key[i]
                     key[i] = 0
-                yield _term(key), num, den
+                yield tuple(key), num, den
 
         return self._from_rows(substituted())
 
@@ -335,7 +323,7 @@ class PhasePoly:
         """Canonical text form; deterministic and parseable.
 
         Terms are sorted momentum-first (epx, epy, ex, eu, then k1, k2, k3,
-        all descending), one rendered term per Term.
+        all descending), one rendered term per key.
         """
         nums, den = self.nums, self.den
         if not nums:
@@ -453,10 +441,10 @@ def upow(n: int) -> PhasePoly:
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     """{f, g} = f_x g_px + f_y g_py - f_px g_x - f_py g_y, exactly."""
     f, g = f._operand(), g._operand()
-    return PhasePoly._sum_of_products([(1, (f, SLOTS["x"]), (g, SLOTS["px"])),
-                                       (1, (f, SLOTS["y"]), (g, SLOTS["py"])),
-                                       (-1, (f, SLOTS["px"]), (g, SLOTS["x"])),
-                                       (-1, (f, SLOTS["py"]), (g, SLOTS["y"]))])
+    return PhasePoly._wrap(*sum_of_products([(1, (f, SLOTS["x"]), (g, SLOTS["px"])),
+                                             (1, (f, SLOTS["y"]), (g, SLOTS["py"])),
+                                             (-1, (f, SLOTS["px"]), (g, SLOTS["x"])),
+                                             (-1, (f, SLOTS["py"]), (g, SLOTS["y"]))]))
 
 
 class VectorField(NamedTuple):
@@ -478,9 +466,14 @@ class VectorField(NamedTuple):
     def apply(self, f: PhasePoly) -> PhasePoly:
         """Directional derivative of f along the field (y via the u chain rule)."""
         f = f._operand()
-        return PhasePoly._sum_of_products(
+        return PhasePoly._wrap(*sum_of_products(
             (1, (c._operand(), None), (f, SLOTS[var]))
-            for c, var in zip(self, ("x", "y", "px", "py")))
+            for c, var in zip(self, ("x", "y", "px", "py"))))
+
+    def __add__(self, other: "VectorField") -> "VectorField":
+        if not isinstance(other, VectorField):
+            return NotImplemented
+        return VectorField(*(a + b for a, b in zip(self, other)))
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         if not isinstance(other, VectorField):

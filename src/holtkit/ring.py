@@ -12,12 +12,12 @@ sum-of-products kernel, sum_of_products: a plain product is one (sign, a,
 b) triple, a Poisson bracket or a vector field applied to a polynomial is
 four.  A factor is an operand as it is stored and the direction of a
 derivative that the kernel takes in the key layout it adds.  All pairs of
-all products accumulate into one integer dict over one common
-denominator, which the caller reduces by the gcd.  Small products (at most
-_PACK_RATIO pairs per operand term, such as a monomial times a polynomial)
-add exponent tuples; larger ones pack each operand once into one integer
-per term (Kronecker substitution), in slots that hold every exponent of
-the operands and their derivatives.
+all products accumulate into one integer dict over one common denominator,
+with no cancelled term, which the caller stores as it is, reduced by the
+gcd.  Small products (at most _PACK_RATIO pairs per operand term, such as a
+monomial times a polynomial) add exponent tuples; larger ones pack each
+operand once into one integer per term (Kronecker substitution), in slots
+that hold every exponent of the operands and their derivatives.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def partial(terms: Iterable[tuple[tuple, int]], direction: tuple[int, int]) -> l
 
 def _tuple_products(products: Products, den: int) -> dict[tuple, int]:
     """Accumulate the products over the common denominator den on
-    exponent-tuple keys."""
+    exponent-tuple keys, leaving out the sums that cancel."""
     sums: dict[tuple, int] = {}
     get = sums.get
     for sign, d, a, va, b, vb in products:
@@ -84,7 +84,7 @@ def _tuple_products(products: Products, den: int) -> dict[tuple, int]:
             for kb, nb in right:
                 key = (*map(add, ka, kb),)
                 sums[key] = get(key, 0) + na * nb
-    return sums
+    return {k: n for k, n in sums.items() if n}
 
 
 def _pack(terms: Iterable, weights: list[int], base: int) -> list[tuple[int, int]]:
@@ -144,9 +144,9 @@ def sum_of_products(triples: Iterable[tuple[int, tuple, tuple]]
     denominator, as a PhasePoly stores its terms, and the (slot, scale) of
     a derivative to take of them (see partial), or None.  Every pair of
     every product accumulates into one integer dict over one common
-    denominator.  A term that cancels reads 0 or is left out.  Exponents
-    are added as packed integer keys when the operands' own products have
-    more than _PACK_RATIO pairs per operand term, as tuples otherwise.
+    denominator.  A term that cancels is left out.  Exponents are added as
+    packed integer keys when the operands' own products have more than
+    _PACK_RATIO pairs per operand term, as tuples otherwise.
     """
     products, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
     for sign, ((da, a), va), ((db, b), vb) in triples:

@@ -453,6 +453,16 @@ def test_vf_scaling_by_ring_elements():
     assert scaled.momentum_order == 1
 
 
+def test_vector_fields_add_componentwise():
+    X2, X3 = catalog.build("X2").expression, catalog.build("X3").expression
+    total = X2 + X3
+    assert type(total) is VectorField
+    assert list(total) == [a + b for a, b in zip(X2, X3)]
+    assert total - X3 == X2
+    with pytest.raises(TypeError):
+        X2 + 1
+
+
 GAMMA_H = catalog.build("Gamma_H").expression
 
 

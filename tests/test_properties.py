@@ -228,19 +228,23 @@ exact_values = st.one_of(st.none(), st.just(0), fractions)
 
 
 def _in_lowest_terms(p):
-    """den > 0, nonzero int numerators on Term keys, and gcd(den, *nums) == 1,
-    which for no terms means den == 1: zero is (1, {})."""
+    """den > 0, nonzero int numerators on plain tuples of seven int
+    exponents, and gcd(den, *nums) == 1, which for no terms means den == 1:
+    zero is (1, {})."""
     return (type(p.den) is int and p.den > 0 and gcd(p.den, *p.nums.values()) == 1
-            and all(type(t) is Term and type(n) is int and n for t, n in p.nums.items()))
+            and all(type(t) is tuple and len(t) == 7 and all(type(e) is int for e in t)
+                    and type(n) is int and n for t, n in p.nums.items()))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(phase_polys, parametric_polys), st.one_of(phase_polys, parametric_polys),
        st.sampled_from(["x", "u", "y", "px", "py"]), exact_values, exact_values, exact_values)
-def test_every_derived_polynomial_is_keyed_by_terms(f, g, var, k1, k2, k3):
+def test_every_derived_polynomial_is_keyed_by_exponent_tuples(f, g, var, k1, k2, k3):
     """Every way of making a polynomial stores it in lowest terms, keyed by
-    Terms, and its terms and its render both make it back."""
-    made = [f, parse_expression(f.render()), f + g, f - g, 1 - f, f * g, f**2, -f,
+    plain tuples of seven int exponents; its terms mapping is keyed by
+    Terms, and it and the render both make the polynomial back."""
+    made = [f, PhasePoly(f.terms), parse_expression(f.render()),
+            parse_expression(f.render().replace("*", " * ")), f + g, f - g, 1 - f, f * g, f**2, -f,
             f.diff(var), poisson_bracket(f, g), VectorField(f, g, g, f).apply(f),
             f.substitute_params(k1, k2, k3), f - f]
     for p in made:
