@@ -1,12 +1,14 @@
 """Symplectic integration and invariant-drift measurement.
 
-Forces come from symbolic differentiation of the catalog potential,
-compiled once per run into one evaluator for both components; there is no
-numerical differentiation anywhere.  A run is recorded as float columns:
-the steps fill t, x, y, px and py, then one generated function evaluates
-every tracked invariant once per sample into one shared column, of which
-each invariant reads a strided view; the table and the drift report only
-read them.  A large table is formatted in contiguous row blocks, one per
+Forces come from symbolic differentiation of the catalog potential; there
+is no numerical differentiation anywhere.  Each run is one generated
+function: its unrolled substeps compute both force components inline, and
+at each sample it evaluates every tracked invariant inline, reusing the
+force's cube root of y and the powers of x and u they share, and stores
+x, y, px, py and each invariant straight into a float column of its own,
+allocated at full length before the first step.  An invariant's errors
+wait until every step has run.  The table and the drift report only read
+the columns.  A large table is formatted in contiguous row blocks, one per
 usable CPU, in forked children whose text is joined in row order, and is
 the same text as one process makes.  Fixed step only: the convergence
 study needs clean order estimates.
@@ -16,13 +18,12 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import chain, repeat
+from itertools import chain
 from math import isfinite
-from operator import sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .catalog import CatalogEntry
-from .phasepoly import DomainError, PhasePoly, compile_all
+from .phasepoly import DomainError, PhasePoly, _function, _overflow, _statements
 
 INTEGRATORS = ("leapfrog2", "composed4")
 
@@ -147,14 +148,16 @@ def integrate(potential: CatalogEntry, start: Sequence[float], cfg: SimConfig,
     ValueError.  leapfrog2 is the plain KDK splitting; composed4 chains
     three KDK substeps with weights (_C1, _C2, _C1), the middle one
     backward.  Aborts with TrajectoryAborted if y drops to y_min at any
-    substep, and with DomainError if the state stops being finite.
-    The invariants are evaluated only once every step has been taken, so a
-    y-guard abort, a non-finite state or a force overflow is raised before
-    any error of theirs.
+    substep, and with DomainError if the state stops being finite or the
+    force overflows.  An invariant's errors are raised only once every step
+    has been taken, so any of those comes first: a parameter power too
+    large for a float, then an overflow at the first sample where one
+    occurs.  The whole run is one generated function (see _run_function).
     """
-    start = x, y, px, py = tuple(start)
+    start = tuple(start)
     if not all(map(isfinite, start)):
         raise ValueError(f"start = {start} must be a finite point")
+    start = x, y, px, py = tuple(map(float, start))  # as sample 0 stores it
     if y <= cfg.y_min:
         raise ValueError(f"start.y = {y} must exceed y_min = {cfg.y_min}")
     V = _potential_poly(potential)
@@ -162,63 +165,124 @@ def integrate(potential: CatalogEntry, start: Sequence[float], cfg: SimConfig,
     for entry in entries:
         if not isinstance(entry.expression, PhasePoly):
             raise ValueError(f"{entry.name} is a vector field and cannot be tracked")
-    force = compile_all((-V.diff("x"), -V.diff("y")), cfg.k1, cfg.k2, cfg.k3)
+    k = cfg.k1, cfg.k2, cfg.k3
+    coeffs: list[float] = []
+    powers: set[str] = set()
+    force = _statements([(-V.diff(v))._fold(*k) for v in ("x", "y")], ("ax", "ay"),
+                        coeffs, powers)
+    held = None  # an invariant's folding error, raised once every step has run
+    try:
+        folded = [e.expression._fold(*k) for e in entries]
+    except DomainError as exc:
+        held, folded = exc, []
+    # the force is momentum-free, so each power it assigns, of x or u, holds
+    # at the sample its last substep ends on, and the invariants reuse it
+    sample = _statements(folded, [f"i{j}" for j in range(len(folded))], coeffs, powers)
 
     # imported here: only a run uses it, and an import at the top would
     # cost every start-up
     from array import array
 
-    h, y_min = cfg.h, cfg.y_min
-    weights = (1.0,) if cfg.integrator == "leapfrog2" else (_C1, _C2, _C1)
-    n_steps = round(cfg.t_end / h)
-    ax, ay = force(x, y, px, py)
+    n_steps = round(cfg.t_end / cfg.h)
+    run = _run_function(force, sample, len(folded), coeffs, cfg, n_steps)
+    columns = [array("d", [0.0]) * (n_steps + 1) for _ in range(4 + len(folded))]
+    bad = run(*start, *map(memoryview, columns))
+    if held is not None:
+        raise held
+    if bad >= 0:
+        raise _overflow(*(c[bad] for c in columns[:4]))
+    times = array("d", map(cfg.h.__mul__, range(n_steps + 1)))  # sample i is at i * h
+    return Trajectory((*_STATE, *(e.name for e in entries)),
+                      tuple(memoryview(c).toreadonly() for c in (times, *columns)))
 
-    state = tuple(array("d", (value,)) for value in start)
-    append_x, append_y, append_px, append_py = (c.append for c in state)
-    for i in range(n_steps):
-        t = i * h
-        for w in weights:
-            dt = w * h
-            px += 0.5 * dt * ax
-            py += 0.5 * dt * ay
-            x += dt * px
-            y += dt * py
-            t += dt
-            if y <= y_min:
-                raise TrajectoryAborted(t, y, y_min)
-            ax, ay = force(x, y, px, py)
-            px += 0.5 * dt * ax
-            py += 0.5 * dt * ay
-        if not (isfinite(x) and isfinite(y) and isfinite(px) and isfinite(py)):
-            raise DomainError(f"the state is not finite at t = {t}: "
-                              f"(x, y, px, py) = {(x, y, px, py)}")
-        append_x(x)
-        append_y(y)
-        append_px(px)
-        append_py(py)
-    times = array("d", map(h.__mul__, range(n_steps + 1)))  # sample i is at i * h
-    columns = tuple(memoryview(c).toreadonly() for c in (times, *state))
-    if entries:  # a run tracking nothing takes no pass over its samples
-        evaluate = compile_all([e.expression for e in entries], cfg.k1, cfg.k2, cfg.k3)
-        # every invariant's value at each sample in turn; each invariant's
-        # column is a strided view of this one array
-        values = memoryview(array("d", chain.from_iterable(map(evaluate, *state)))).toreadonly()
-        columns += tuple(values[i::len(entries)] for i in range(len(entries)))
-    return Trajectory((*_STATE, *(e.name for e in entries)), columns)
+
+def _not_finite(t: float, x: float, y: float, px: float, py: float) -> DomainError:
+    return DomainError(f"the state is not finite at t = {t}: "
+                       f"(x, y, px, py) = {(x, y, px, py)}")
+
+
+def _indent(lines: Iterable[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _run_function(force: list[str], sample: list[str], n_invariants: int,
+                  coeffs: list[float], cfg: SimConfig, n_steps: int) -> Callable:
+    """The generated run(x, y, px, py, s_x, s_y, s_px, s_py, s_i0, ...) of
+    n_steps steps, from the statements of the force (ax, ay) and of the
+    invariants at a sample (i0, i1, ...) that _statements emitted.
+
+    It stores the start and the state after each step into the columns
+    s_x ... s_py at the sample's index, and each invariant's value there
+    into its s_i column, and returns the first index whose invariants
+    overflowed, or -1.  The substeps are unrolled with the force
+    statements inline, so each float is what a loop over the weights
+    gives: dt = w * h, a kick adds (0.5 * dt) * a, and the time of an
+    abort is (i - 1) * h plus each dt so far, added in turn.  A state is
+    finite when (x - x) + ... + (py - py) is 0.0, as inf - inf and every
+    nan operation give nan.
+    """
+    weights = (1.0,) if cfg.integrator == "leapfrog2" else (_C1, _C2, _C1)
+    evaluate_force = ["u = y ** (1.0 / 3.0)",
+                      "try:", *_indent(force),
+                      "except OverflowError:",
+                      "    raise _overflow(x, y, px, py) from None"]
+    record = [f"s_{v}[i] = {v}" for v in ("x", "y", "px", "py")]
+    if n_invariants:
+        stores = [f"s_i{j}[i] = i{j}" for j in range(n_invariants)]
+        record += ["try:", *_indent(sample), *_indent(stores),
+                   "except OverflowError:",
+                   "    if bad < 0:",
+                   "        bad = i"]
+    step, t = [], "(i - 1) * h"
+    for j in range(len(weights)):
+        t += f" + dt{j}"
+        step += [f"px += half{j} * ax",
+                 f"py += half{j} * ay",
+                 f"x += dt{j} * px",
+                 f"y += dt{j} * py",
+                 "if y <= y_min:",
+                 f"    raise TrajectoryAborted({t}, y, y_min)",
+                 *evaluate_force,
+                 f"px += half{j} * ax",
+                 f"py += half{j} * ay"]
+    step += ["if (x - x) + (y - y) + (px - px) + (py - py) != 0.0:",
+             f"    raise _not_finite({t}, x, y, px, py)",
+             *record]
+    # the floats are bound to locals once, not printed as literals, since a
+    # dt past the float range is inf, which has none
+    dts = [w * cfg.h for w in weights]
+    constants = (cfg.h, cfg.y_min, *chain.from_iterable((dt, 0.5 * dt) for dt in dts))
+    names = ", ".join(("h", "y_min", *(f"dt{j}, half{j}" for j in range(len(weights)))))
+    body = [f"{names} = _constants",
+            *evaluate_force,
+            "i = 0",
+            "bad = -1",
+            *record,
+            f"for i in range(1, {n_steps + 1}):",
+            *_indent(step),
+            "return bad"]
+    columns = ("s_x", "s_y", "s_px", "s_py", *(f"s_i{j}" for j in range(n_invariants)))
+    return _function(f"run(x, y, px, py, {', '.join(columns)})", _indent(body), coeffs,
+                     _constants=constants, TrajectoryAborted=TrajectoryAborted,
+                     _not_finite=_not_finite, _overflow=_overflow)
 
 
 def drift_report(traj: Trajectory) -> DriftReport:
     """Normalized max deviation of each invariant the trajectory tracked.
 
-    The largest |I - I0| starts at 0.0 and takes a deviation only when it is
-    larger, so a nan deviation never wins.  A column whose first value is
+    The largest |I - I0| is taken from the column's extremes, as
+    max(0.0, max - I0, I0 - min): c - I0 rounds monotonically in c, and
+    symmetrically, so this is the largest rounded deviation, and 0.0 when
+    every one is 0.0 or nan.  max and min skip a nan unless it comes
+    first, so a nan deviation never wins.  A column whose first value is
     nan keeps 0.0 as its largest deviation, but its scale max(|nan|, 1.0)
     is nan, so its drift reads nan.
     """
     drifts = []
     for name, column in zip(traj.names[len(_STATE):], traj.columns[len(_STATE):]):
-        worst = max(chain((0.0,), map(abs, map(sub, column, repeat(column[0])))))
-        drifts.append(InvariantDrift(name, column[0], worst / max(abs(column[0]), 1.0)))
+        first = column[0]
+        worst = max(0.0, max(column) - first, first - min(column))
+        drifts.append(InvariantDrift(name, first, worst / max(abs(first), 1.0)))
     return DriftReport(tuple(drifts), len(traj))
 
 

@@ -364,32 +364,28 @@ def _overflow(x, y, px, py) -> DomainError:
 _SUM_CHUNK = 500
 
 
-def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
-                k3: float = 0.0) -> Callable[[float, float, float, float], tuple]:
-    """One generated function of (x, y, px, py) returning the tuple of the
-    polynomials' values at fixed parameters.
+def _statements(folded: Sequence[FloatTerms], targets: Sequence[str], coeffs: list[float],
+                powers: set[str]) -> list[str]:
+    """Generated statements that set each target to the sum of its folded
+    terms, at a point held in the locals x, u, px and py.
 
-    Each value is bit for bit what PhasePoly.evaluate's loop gives, and a
-    point outside the domain raises the same DomainError.  The function
-    takes the cube root of y once, and each distinct power (u**-2, px**2,
-    ...) once, into a local that every term of every polynomial reuses: the
-    same float the loop's own `**` gives, and an overflow still raises.  A
-    factor with exponent 0 (the float 1.0) or 1 (the base itself) is left
-    out, which is exact.  Each sum keeps the term order and 0.0 as its first
-    operand (so -0.0 terms still sum to 0.0), and each product keeps the
-    factor order c * x * u * px * py.  The coefficients are the globals c0,
-    c1, ..., not printed literals, because a folded one can be inf or nan.
-    A simulate run calls one such function per substep for its two forces,
-    and one per sample for its invariants.  With no polynomials it returns
-    () for any point, with no y check, as the empty tuple of evaluate calls
-    does.
+    Each sum is bit for bit what PhasePoly.evaluate's loop gives.  The
+    statements first assign each distinct power a term uses (u**-2, px**2,
+    ...) to a local (u_m2, px_2, ...), unless powers already names it, and
+    add it there: the same float the loop's own `**` gives, and an overflow
+    still raises.  A factor with exponent 0 (the float 1.0) or 1 (the base
+    itself) is left out, which is exact.  Then each sum keeps the term
+    order and 0.0 as its first operand (so -0.0 terms still sum to 0.0),
+    in expressions of at most _SUM_CHUNK terms, and each product keeps the
+    factor order c * x * u * px * py.  The coefficients are appended to
+    coeffs and read as the globals c0, c1, ... by their index there, not
+    as printed literals, because a folded one can be inf or nan.
     """
-    coeffs: list[float] = []
-    powers: dict[str, str] = {}  # local name -> power expression
+    assigned = []
     sums = []
-    for i, p in enumerate(polys):
+    for target, terms in zip(targets, folded):
         products = []
-        for c, *exponents in p._fold(k1, k2, k3):
+        for c, *exponents in terms:
             factors = [f"c{len(coeffs)}"]
             coeffs.append(c)
             for var, e in zip(("x", "u", "px", "py"), exponents):
@@ -397,29 +393,57 @@ def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
                     factors.append(var)
                 elif e:
                     name = f"{var}_{e}".replace("-", "m")
-                    powers[name] = f"{var}**{e}"
+                    if name not in powers:
+                        powers.add(name)
+                        assigned.append(f"{name} = {var}**{e}")
                     factors.append(name)
             products.append(" * ".join(factors))
-        sums.append(f"        s{i} = 0.0")
-        sums += [f"        s{i} = s{i} + {' + '.join(products[j:j + _SUM_CHUNK])}"
+        sums.append(f"{target} = 0.0")
+        sums += [f"{target} = {target} + {' + '.join(products[j:j + _SUM_CHUNK])}"
                  for j in range(0, len(products), _SUM_CHUNK)]
-    lines = ["def evaluate(x, y, px, py):"]
-    if polys:
-        lines += ["    if y <= 0.0:",
-                  "        raise _nonpositive_y(y)",
-                  "    u = y ** (1.0 / 3.0)",
-                  "    try:",
-                  *(f"        {name} = {power}" for name, power in powers.items()),
-                  *sums,
-                  "    except OverflowError:",
-                  "        raise _overflow(x, y, px, py) from None"]
-    lines.append(f"    return ({''.join(f's{i}, ' for i in range(len(polys)))})")
+    return assigned + sums
+
+
+def _function(signature: str, body: Iterable[str], coeffs: Sequence[float],
+              **names) -> Callable:
+    """The function `def {signature}:` with the body's lines, already
+    indented, whose globals are the coefficients c0, c1, ... and the given
+    names.  The one place the package runs generated code."""
     namespace = {f"c{i}": c for i, c in enumerate(coeffs)}
-    namespace.update(_nonpositive_y=_nonpositive_y, _overflow=_overflow)
-    exec("\n".join(lines), namespace)
+    namespace.update(names)
+    exec("\n".join((f"def {signature}:", *body)), namespace)
     # popped, so that the function and its globals form no cycle and are
     # freed as soon as the caller drops the function
-    return namespace.pop("evaluate")
+    return namespace.pop(signature[:signature.index("(")])
+
+
+def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
+                k3: float = 0.0) -> Callable[[float, float, float, float], tuple]:
+    """One generated function of (x, y, px, py) returning the tuple of the
+    polynomials' values at fixed parameters.
+
+    Each value is bit for bit what PhasePoly.evaluate's loop gives, and a
+    point outside the domain raises the same DomainError.  The function
+    takes the cube root of y once, and each distinct power once, into a
+    local that every term of every polynomial reuses (see _statements).
+    With no polynomials it returns () for any point, with no y check, as
+    the empty tuple of evaluate calls does.
+    """
+    coeffs: list[float] = []
+    folded = [p._fold(k1, k2, k3) for p in polys]
+    targets = [f"s{i}" for i in range(len(polys))]
+    body = []
+    if polys:
+        body += ["    if y <= 0.0:",
+                 "        raise _nonpositive_y(y)",
+                 "    u = y ** (1.0 / 3.0)",
+                 "    try:",
+                 *(f"        {line}" for line in _statements(folded, targets, coeffs, set())),
+                 "    except OverflowError:",
+                 "        raise _overflow(x, y, px, py) from None"]
+    body.append(f"    return ({''.join(f'{s}, ' for s in targets)})")
+    return _function("evaluate(x, y, px, py)", body, coeffs,
+                     _nonpositive_y=_nonpositive_y, _overflow=_overflow)
 
 
 # generators for building expressions algebraically

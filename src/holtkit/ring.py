@@ -77,8 +77,6 @@ def _tuple_products(products: Products, den: int) -> dict[tuple, int]:
     for sign, d, a, va, b, vb in products:
         factor = sign * (den // d)
         right = partial(b, vb) if vb else b
-        if not right:
-            continue
         for ka, na in partial(a, va) if va else a:
             na *= factor
             for kb, nb in right:
@@ -135,6 +133,16 @@ def _packed_products(products: Products, den: int) -> dict[tuple, int]:
     return dict(zip(zip(*slots), [sums[k] for k in keys]))
 
 
+def _varies(terms: Iterable[tuple[tuple, int]], slot: int) -> bool:
+    """Whether a term has a nonzero exponent in the slot, so that the
+    derivative along it has a term; a plain loop, as a generator costs
+    about what the product it drops would."""
+    for k, _ in terms:
+        if k[slot]:
+            return True
+    return False
+
+
 def sum_of_products(triples: Iterable[tuple[int, tuple, tuple]]
                     ) -> tuple[int, dict[tuple, int]]:
     """The sum of sign * a * b over (sign, a, b) triples, exactly, as
@@ -144,13 +152,16 @@ def sum_of_products(triples: Iterable[tuple[int, tuple, tuple]]
     denominator, as a PhasePoly stores its terms, and the (slot, scale) of
     a derivative to take of them (see partial), or None.  Every pair of
     every product accumulates into one integer dict over one common
-    denominator.  A term that cancels is left out.  Exponents are added as
+    denominator.  A product with no terms, the derivative it asks for
+    included, is dropped before its denominator and pairs count.  A term
+    that cancels is left out.  Exponents are added as
     packed integer keys when the operands' own products have more than
     _PACK_RATIO pairs per operand term, as tuples otherwise.
     """
     products, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
     for sign, ((da, a), va), ((db, b), vb) in triples:
-        if (la := len(a)) and (lb := len(b)):
+        if (_varies(a, va[0]) if va else a) and (_varies(b, vb[0]) if vb else b):
+            la, lb = len(a), len(b)
             d = da * db * (va[1] if va else 1) * (vb[1] if vb else 1)
             products.append((sign, d, a, va, b, vb))
             den = lcm(den, d)

@@ -443,12 +443,23 @@ EXIT_3_RUNS = [
     # the y guard aborts the steps before that invariant overflow is reached
     (("--start", "0,1e-5,1e52,-1", "--t-end", "0.01"),
      "trajectory aborted: y = -0.00099 fell to or below the guard 1e-06 at t = 0.001\n"),
+    # an invariant's parameter powers overflow where the force's do not
+    (("--k2", "1", "--k1", "1e200", "--invariants", "J_h2_4_k", "--start", "0,1,0.5,0.5",
+      "--t-end", "0.01"),
+     "domain error: parameter powers overflow at k1 = 1e+200, k2 = 1.0, k3 = 0.0\n"),
+    # every step is taken before that overflow is raised, so the y guard's comes first
+    (("--k2", "1", "--k1", "1e200", "--invariants", "J_h2_4_k", "--start", "0,1,0.5,0.5",
+      "--t-end", "10"),
+     "trajectory aborted: y = -0.006818968571579523 fell to or below the "
+     "guard 1e-06 at t = 5.87\n"),
 ]
 
 
 @pytest.mark.parametrize("extra, stderr", EXIT_3_RUNS,
                          ids=["state-blow-up", "force-overflow", "y-guard",
-                              "invariant-overflow", "y-guard-before-invariant-overflow"])
+                              "invariant-overflow", "y-guard-before-invariant-overflow",
+                              "invariant-parameter-overflow",
+                              "y-guard-before-invariant-parameter-overflow"])
 def test_simulate_exit_3_stderr_is_pinned(tmp_path, capsys, extra, stderr):
     out_path = tmp_path / "t.tsv"
     code, out, err = run(capsys, "simulate", "--potential", "U", *extra,

@@ -9,8 +9,11 @@ at t_end = 5.5, where the orbit still has y >= 1.
 """
 
 import os
+import random
 import signal
 import threading
+from fractions import Fraction
+from math import isfinite
 
 import pytest
 
@@ -24,7 +27,7 @@ from holtkit.dynamics import (
     format_trajectory,
     integrate,
 )
-from holtkit.phasepoly import DomainError, PhasePoly
+from holtkit.phasepoly import DomainError, PhasePoly, compile_all
 
 U = catalog.build("U")
 START = (0.0, 1.0, 0.5, 0.5)
@@ -220,9 +223,10 @@ def test_a_hand_built_potential_must_be_momentum_free():
 ])
 def test_a_run_records_each_sample_in_a_few_dozen_bytes(names, bound):
     # five float columns hold 40 bytes a sample, and each invariant adds 8;
-    # the rest of the bound is room for the arrays' over-allocation and the
-    # run's fixed costs, and a tuple per step would take 232.  At 20,001
-    # samples the two runs read about 43 and 75 bytes a sample
+    # the rest of the bound is room for the run's fixed costs, and a tuple
+    # per step would take 232.  Every column is allocated at its full length
+    # at once, so at 20,001 samples the two runs read about 42 and 74 bytes
+    # a sample
     import tracemalloc
 
     tracked = [catalog.build(name) for name in names]
@@ -251,19 +255,37 @@ def test_trajectory_table_round_trips():
 
 
 def test_a_run_tracking_nothing_never_calls_an_invariant_evaluator(monkeypatch):
-    compiled = []
+    folded, emitted, generated = [], [], []
+    real_fold, real_statements, real_function = (
+        PhasePoly._fold, dynamics._statements, dynamics._function)
 
-    def never_called(*point):
-        raise AssertionError("an evaluator of no invariants was called")
+    def fold(self, *k):
+        folded.append(self)
+        return real_fold(self, *k)
 
-    def compile_all(polys, *k):
-        compiled.append(len(polys))
-        return never_called if not polys else real(polys, *k)
+    def statements(terms, targets, *rest):
+        lines = real_statements(terms, targets, *rest)
+        emitted.append((tuple(targets), lines))
+        return lines
 
-    real = dynamics.compile_all
-    monkeypatch.setattr(dynamics, "compile_all", compile_all)
+    def function(signature, body, *rest, **names):
+        generated.append((signature, list(body)))
+        return real_function(signature, generated[-1][1], *rest, **names)
+
+    monkeypatch.setattr(PhasePoly, "_fold", fold)
+    monkeypatch.setattr(dynamics, "_statements", statements)
+    monkeypatch.setattr(dynamics, "_function", function)
     traj = integrate(U, START, SimConfig(h=0.01, t_end=1.0, k2=1.0))
-    assert compiled == [2]  # the two force components only
+    assert len(folded) == 2  # the two force components only
+    assert [(targets, bool(lines)) for targets, lines in emitted] == \
+        [(("ax", "ay"), True), ((), False)]
+    (signature, body), = generated
+    assert signature == "run(x, y, px, py, s_x, s_y, s_px, s_py)"
+    # the force's sums are the only sums, and the state the only stores
+    assert {line.split(" = ")[0].strip() for line in body if line.endswith(" = 0.0")} == \
+        {"ax", "ay"}
+    assert {line.split(" = ")[0].strip() for line in body if "[i] = " in line} == \
+        {"s_x[i]", "s_y[i]", "s_px[i]", "s_py[i]"}
     assert traj.names == ("t", "x", "y", "px", "py") and len(traj.columns) == 5
     assert len(traj) == 101
 
@@ -424,7 +446,8 @@ def test_sampled_invariants_are_the_evaluate_loop_values(name, start, k, integra
 def test_a_trajectory_keeps_its_sampled_values_read_only():
     tracked = [catalog.build(name) for name in catalog.invariants("U")]
     traj = integrate(U, START, SimConfig(h=0.25, t_end=0.5, k2=1.0), tracked)
-    # the invariant columns are views of one shared array
+    # each invariant column, like each state column, is a read-only view of
+    # its own array
     for column in traj.columns[5:]:
         with pytest.raises(TypeError):
             column[0] = 0.0
@@ -434,3 +457,105 @@ def test_a_trajectory_keeps_its_sampled_values_read_only():
 def test_a_vector_field_cannot_be_tracked():
     with pytest.raises(ValueError, match="Gamma_H is a vector field and cannot be tracked"):
         integrate(U, START, SimConfig(h=0.25, t_end=0.5), [catalog.build("Gamma_H")])
+
+
+def _reference_columns(potential, start, cfg, invariants=()):
+    """The columns of a run as a plain kick-drift-kick loop records them: one
+    compile_all force function called at each substep, and once every step
+    is taken, one compile_all function of the invariants called at each
+    sample.  It raises what integrate raises, in the same order."""
+    x, y, px, py = map(float, start)
+    V = potential.expression
+    force = compile_all((-V.diff("x"), -V.diff("y")), cfg.k1, cfg.k2, cfg.k3)
+    h, y_min = cfg.h, cfg.y_min
+    weights = ((1.0,) if cfg.integrator == "leapfrog2"
+               else (dynamics._C1, dynamics._C2, dynamics._C1))
+    n_steps = round(cfg.t_end / h)
+    ax, ay = force(x, y, px, py)
+    state = [[x], [y], [px], [py]]
+    for i in range(n_steps):
+        t = i * h
+        for w in weights:
+            dt = w * h
+            px += 0.5 * dt * ax
+            py += 0.5 * dt * ay
+            x += dt * px
+            y += dt * py
+            t += dt
+            if y <= y_min:
+                raise TrajectoryAborted(t, y, y_min)
+            ax, ay = force(x, y, px, py)
+            px += 0.5 * dt * ax
+            py += 0.5 * dt * ay
+        if not (isfinite(x) and isfinite(y) and isfinite(px) and isfinite(py)):
+            raise DomainError(f"the state is not finite at t = {t}: "
+                              f"(x, y, px, py) = {(x, y, px, py)}")
+        for column, value in zip(state, (x, y, px, py)):
+            column.append(value)
+    evaluate = compile_all([e.expression for e in invariants], cfg.k1, cfg.k2, cfg.k3)
+    values = list(map(evaluate, *state))
+    return [[i * h for i in range(n_steps + 1)], *state, *map(list, zip(*values))]
+
+
+def _run_outcome(run, *args):
+    """repr of every value of every column, or the type and text of the error."""
+    try:
+        return [list(map(repr, column)) for column in run(*args)]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_setting(name):
+    """A start and rational parameters drawn from a seed of the potential's own."""
+    rng = random.Random(f"reference {name}")
+    start = (rng.uniform(-1, 1), rng.uniform(1, 2), rng.uniform(-1, 1), rng.uniform(-1, 1))
+    k = {f"k{i}": float(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for i in (1, 2, 3)}
+    return name, start, k
+
+
+REFERENCE_SETTINGS = [
+    *(pytest.param(*setting, 1.0, id=f"golden-{setting[0]}") for setting in GOLDEN_SETTINGS),
+    *(pytest.param(*_random_setting(name), 0.25, id=f"random-{name}")
+      for name in catalog.names() if catalog.build(name).kind == "potential"),
+]
+
+
+@pytest.mark.parametrize("integrator", ["leapfrog2", "composed4"])
+@pytest.mark.parametrize("name, start, k, t_end", REFERENCE_SETTINGS)
+def test_a_run_records_what_the_reference_loop_records(name, start, k, t_end, integrator):
+    cfg = SimConfig(h=0.005, t_end=t_end, integrator=integrator, **k)
+    entries = [catalog.build(n) for n in catalog.invariants(name)]
+    args = (catalog.build(name), start, cfg, entries)
+    columns = _run_outcome(lambda *a: integrate(*a).columns, *args)
+    assert len(columns) == 5 + len(entries)  # the run took every step
+    assert columns == _run_outcome(_reference_columns, *args)
+
+
+# runs that end in each error a run can raise, the invariants' behind the steps'
+REFERENCE_ERRORS = [
+    pytest.param(START, dict(k2=1.0, t_end=10.0), ("H_U",), id="y-guard"),
+    pytest.param((0, 1, 0, 0), dict(k2=1e308), ("H_U",), id="state-blow-up"),
+    pytest.param((0, 1, 0, 0), dict(k3=1e300), ("H_U",), id="force-overflow"),
+    pytest.param((0, 1, 1e52, 0), {}, catalog.invariants("U"), id="invariant-overflow"),
+    # py**2 overflows at sample 1, where the state is still finite
+    pytest.param((0, 1, 0, 0), dict(k3=1e200), ("H_U",),
+                 id="invariant-overflow-after-the-first-sample"),
+    pytest.param((0, 1e-5, 1e52, -1), {}, catalog.invariants("U"),
+                 id="y-guard-before-invariant-overflow"),
+    pytest.param(START, dict(k1=1e200, k2=1.0), ("H_U", "J_h2_4_k"),
+                 id="invariant-parameter-overflow"),
+    pytest.param(START, dict(k1=1e200, k2=1.0, t_end=10.0), ("J_h2_4_k",),
+                 id="y-guard-before-invariant-parameter-overflow"),
+    pytest.param(START, dict(k2=1.0, h=1.5e308, t_end=1.5e308), ("H_U",),
+                 id="substeps-too-long-for-a-float"),
+]
+
+
+@pytest.mark.parametrize("integrator", ["leapfrog2", "composed4"])
+@pytest.mark.parametrize("start, settings, names", REFERENCE_ERRORS)
+def test_a_run_fails_as_the_reference_loop_fails(start, settings, names, integrator):
+    cfg = SimConfig(**{"h": 1e-3, "t_end": 0.01, **settings, "integrator": integrator})
+    args = (U, start, cfg, [catalog.build(n) for n in names])
+    outcome = _run_outcome(lambda *a: integrate(*a).columns, *args)
+    assert outcome == _run_outcome(_reference_columns, *args)
+    assert outcome[0] in ("TrajectoryAborted", "DomainError")

@@ -329,9 +329,8 @@ def _trajectory(*columns):
                       (*state, *columns))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.floats(), min_size=4, max_size=4), min_size=1, max_size=3))
-def test_drift_report_takes_the_largest_deviation_as_a_plain_loop_does(columns):
+def _loop_drifts(columns):
+    """The report a plain loop makes, taking a deviation only when dev > worst."""
     drifts = []
     for i, column in enumerate(columns):
         worst = 0.0
@@ -340,8 +339,28 @@ def test_drift_report_takes_the_largest_deviation_as_a_plain_loop_does(columns):
             if dev > worst:
                 worst = dev
         drifts.append(InvariantDrift(f"I{i}", column[0], worst / max(abs(column[0]), 1.0)))
+    return DriftReport(tuple(drifts), len(columns[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(), min_size=4, max_size=4), min_size=1, max_size=3))
+def test_drift_report_takes_the_largest_deviation_as_a_plain_loop_does(columns):
     report = drift_report(_trajectory(*columns))
-    assert repr(report) == repr(DriftReport(tuple(drifts), 4))
+    assert repr(report) == repr(_loop_drifts(columns))
+
+
+# mostly the values where taking the extremes could differ from the loop
+_special_floats = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                             -0.0, 0.0, 1.0, -1.0, 5e-324]),
+                            st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(_special_floats, min_size=n, max_size=n), min_size=1, max_size=3)))
+def test_drift_report_from_the_extremes_is_the_loop_report_at_nan_inf_and_minus_zero(columns):
+    report = drift_report(_trajectory(*columns))
+    assert repr(report) == repr(_loop_drifts(columns))
 
 
 def test_drift_report_never_takes_a_nan_deviation_for_the_largest():

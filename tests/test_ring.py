@@ -123,3 +123,30 @@ def test_sum_of_products_adds_the_same_terms_in_either_key_layout():
         for k, n in sums.items():
             expected[k] = expected.get(k, 0) + n
     assert square == (1, expected)
+
+
+def test_a_product_whose_derivative_has_no_terms_is_dropped():
+    # the slot-1 derivative of x / 7 has no terms, so neither its 7 nor the
+    # slot's scale 3 enters the common denominator
+    x_over_7 = (7, [((1, 0), 1)])
+    plus = ((2, [((1, 0), 2), ((0, 0), 1)]), None)
+    assert ring.sum_of_products([(1, (x_over_7, (1, 3)), plus)]) == (1, {})
+    assert ring.sum_of_products([(1, plus, (x_over_7, (1, 3))),
+                                 (1, (x_over_7, (0, 1)), plus)]) == (14, {(1, 0): 2, (0, 0): 1})
+
+
+def test_one_suite_hands_the_layouts_only_products_with_terms(monkeypatch):
+    from holtkit import verify
+
+    handed = []
+    for name in ("_tuple_products", "_packed_products"):
+        def layout(products, den, real=getattr(ring, name)):
+            handed.extend(products)
+            return real(products, den)
+
+        monkeypatch.setattr(ring, name, layout)
+    assert verify.full_suite().all_passed
+    # 259 products before the ones with an empty derivative were dropped
+    assert len(handed) == 221
+    assert all(ring.partial(a, va) if va else a for _, _, a, va, _, _ in handed)
+    assert all(ring.partial(b, vb) if vb else b for _, _, _, _, b, vb in handed)
