@@ -2,16 +2,18 @@
 
 Forces come from symbolic differentiation of the catalog potential; there
 is no numerical differentiation anywhere.  Each run is one generated
-function: its unrolled substeps compute both force components inline, and
-at each sample it evaluates every tracked invariant inline, reusing the
-force's cube root of y and the powers of x and u they share, and stores
-x, y, px, py and each invariant straight into a float column of its own,
-allocated at full length before the first step.  An invariant's errors
-wait until every step has run.  The table and the drift report only read
-the columns.  A large table is formatted in contiguous row blocks, one per
-usable CPU, in forked children whose text is joined in row order, and is
-the same text as one process makes.  Fixed step only: the convergence
-study needs clean order estimates.
+function, from the package's only code generator: its unrolled substeps
+compute both force components inline, and at each sample it evaluates
+every tracked invariant inline, each sum bit for bit what
+PhasePoly.compile's loop gives, reusing the force's cube root of y and the
+powers of x and u they share, and stores x, y, px, py and each invariant
+straight into a float column of its own, allocated at full length before
+the first step.  An invariant's errors wait until every step has run.
+The table and the drift report only read the columns.  A large table is
+formatted in contiguous row blocks, one per usable CPU, in forked children
+whose text is joined in row order, and is the same text as one process
+makes.  Fixed step only: the convergence study needs clean order
+estimates.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ from math import isfinite
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .catalog import CatalogEntry
-from .phasepoly import DomainError, PhasePoly, _function, _overflow, _statements
-
-INTEGRATORS = ("leapfrog2", "composed4")
+from .phasepoly import DomainError, FloatTerms, PhasePoly, _overflow
 
 # triple-composition coefficients turning a second-order step into fourth order
 _C1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _C2 = 1.0 - 2.0 * _C1
+
+# integrator -> the weights of its kick-drift-kick substeps, each w * h long
+_WEIGHTS = {"leapfrog2": (1.0,), "composed4": (_C1, _C2, _C1)}
+INTEGRATORS = tuple(_WEIGHTS)
 
 # the most steps a run may take: a run tracking four invariants records nine
 # float columns, 720 MB at 10**7 samples, before its table is formatted
@@ -89,6 +93,10 @@ class SimConfig(_SimFields):
             raise ValueError("y_min must be positive")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
+        for w in _WEIGHTS[self.integrator]:
+            if not math.isfinite(w * self.h):  # then so is its half kick
+                raise ValueError(f"step h = {self.h!r} makes a {self.integrator} substep "
+                                 f"of {w * self.h!r}, past the float range")
         return self
 
     @classmethod
@@ -205,6 +213,51 @@ def _indent(lines: Iterable[str]) -> list[str]:
     return ["    " + line for line in lines]
 
 
+# terms per generated sum expression: CPython's compiler recurses once per
+# '+' of one expression and gives up somewhere below 3000 of them
+_SUM_CHUNK = 500
+
+
+def _statements(folded: Sequence[FloatTerms], targets: Sequence[str], coeffs: list[float],
+                powers: set[str]) -> list[str]:
+    """Generated statements that set each target to the sum of its folded
+    terms, at a point held in the locals x, u, px and py.
+
+    Each sum is bit for bit what PhasePoly.compile's loop gives.  The
+    statements first assign each distinct power a term uses (u**-2, px**2,
+    ...) to a local (u_m2, px_2, ...), unless powers already names it, and
+    add it there: the same float the loop's own `**` gives, and an overflow
+    still raises.  A factor with exponent 0 (the float 1.0) or 1 (the base
+    itself) is left out, which is exact.  Then each sum keeps the term
+    order and 0.0 as its first operand (so -0.0 terms still sum to 0.0),
+    in expressions of at most _SUM_CHUNK terms, and each product keeps the
+    factor order c * x * u * px * py.  The coefficients are appended to
+    coeffs and read as the globals c0, c1, ... by their index there, not
+    as printed literals, because a folded one can be inf or nan.
+    """
+    assigned = []
+    sums = []
+    for target, terms in zip(targets, folded):
+        products = []
+        for c, *exponents in terms:
+            factors = [f"c{len(coeffs)}"]
+            coeffs.append(c)
+            for var, e in zip(("x", "u", "px", "py"), exponents):
+                if e == 1:
+                    factors.append(var)
+                elif e:
+                    name = f"{var}_{e}".replace("-", "m")
+                    if name not in powers:
+                        powers.add(name)
+                        assigned.append(f"{name} = {var}**{e}")
+                    factors.append(name)
+            products.append(" * ".join(factors))
+        sums.append(f"{target} = 0.0")
+        sums += [f"{target} = {target} + {' + '.join(products[j:j + _SUM_CHUNK])}"
+                 for j in range(0, len(products), _SUM_CHUNK)]
+    return assigned + sums
+
+
 def _run_function(force: list[str], sample: list[str], n_invariants: int,
                   coeffs: list[float], cfg: SimConfig, n_steps: int) -> Callable:
     """The generated run(x, y, px, py, s_x, s_y, s_px, s_py, s_i0, ...) of
@@ -219,9 +272,11 @@ def _run_function(force: list[str], sample: list[str], n_invariants: int,
     gives: dt = w * h, a kick adds (0.5 * dt) * a, and the time of an
     abort is (i - 1) * h plus each dt so far, added in turn.  A state is
     finite when (x - x) + ... + (py - py) is 0.0, as inf - inf and every
-    nan operation give nan.
+    nan operation give nan.  Its globals are the coefficients c0, c1, ...
+    and the few names its body raises or reads; this is the one place the
+    package runs generated code.
     """
-    weights = (1.0,) if cfg.integrator == "leapfrog2" else (_C1, _C2, _C1)
+    weights = _WEIGHTS[cfg.integrator]
     evaluate_force = ["u = y ** (1.0 / 3.0)",
                       "try:", *_indent(force),
                       "except OverflowError:",
@@ -262,9 +317,14 @@ def _run_function(force: list[str], sample: list[str], n_invariants: int,
             *_indent(step),
             "return bad"]
     columns = ("s_x", "s_y", "s_px", "s_py", *(f"s_i{j}" for j in range(n_invariants)))
-    return _function(f"run(x, y, px, py, {', '.join(columns)})", _indent(body), coeffs,
-                     _constants=constants, TrajectoryAborted=TrajectoryAborted,
+    namespace = {f"c{i}": c for i, c in enumerate(coeffs)}
+    namespace.update(_constants=constants, TrajectoryAborted=TrajectoryAborted,
                      _not_finite=_not_finite, _overflow=_overflow)
+    exec("\n".join((f"def run(x, y, px, py, {', '.join(columns)}):", *_indent(body))),
+         namespace)
+    # popped, so that the function and its globals form no cycle and are
+    # freed as soon as the caller drops the function
+    return namespace.pop("run")
 
 
 def drift_report(traj: Trajectory) -> DriftReport:

@@ -16,6 +16,11 @@ coefficients, substitute_params' values, and the terms mapping, built on
 access.  The couplings k1, k2, k3 are never differentiated, so equality to
 zero stays decidable and every identity check here is a proof.
 
+Floats appear only in numeric evaluation: _fold turns a polynomial at
+fixed parameters into float terms, and compile returns a plain loop over
+them.  That loop, also behind evaluate, is the package's one float
+evaluator, which the generated run loop of dynamics matches bit for bit.
+
 The Poisson bracket convention is
 
     {f, g} = f_x g_px + f_y g_py - f_px g_x - f_py g_y
@@ -31,7 +36,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .ring import Scalar, Scaled, accumulate, partial, sum_of_products
 
@@ -296,28 +301,36 @@ class PhasePoly:
 
     def compile(self, k1: float = 0.0, k2: float = 0.0,
                 k3: float = 0.0) -> Callable[[float, float, float, float], float]:
-        """The value alone of compile_all([self], k1, k2, k3) at a point."""
-        evaluate = compile_all([self], k1, k2, k3)
-        return lambda x, y, px, py: evaluate(x, y, px, py)[0]
+        """The function of (x, y, px, py) that evaluates this polynomial at
+        fixed parameters: a plain loop over the folded terms.
+
+        The terms are folded here, so a parameter or coefficient error is
+        raised before any point is seen.
+        """
+        terms = self._fold(k1, k2, k3)
+
+        def evaluate(x: float, y: float, px: float, py: float) -> float:
+            if y <= 0.0:
+                raise DomainError(f"evaluation requires y > 0, got y = {y}")
+            u = y ** (1.0 / 3.0)
+            total = 0.0
+            try:
+                for c, ex, eu, epx, epy in terms:
+                    total += c * x**ex * u**eu * px**epx * py**epy
+            except OverflowError:
+                raise _overflow(x, y, px, py) from None
+            return total
+
+        return evaluate
 
     def evaluate(self, x: float, y: float, px: float, py: float, *,
                  k1: float = 0.0, k2: float = 0.0, k3: float = 0.0) -> float:
         """Double-precision value at a phase-space point with y > 0.
 
-        A plain loop over the folded terms, so a one-shot call skips code
-        generation.  It is the reference compile_all must match bit for bit.
+        It is the reference the generated run loop of dynamics.integrate
+        must match bit for bit.
         """
-        terms = self._fold(k1, k2, k3)
-        if y <= 0.0:
-            raise _nonpositive_y(y)
-        u = y ** (1.0 / 3.0)
-        total = 0.0
-        try:
-            for c, ex, eu, epx, epy in terms:
-                total += c * x**ex * u**eu * px**epx * py**epy
-        except OverflowError:
-            raise _overflow(x, y, px, py) from None
-        return total
+        return self.compile(k1, k2, k3)(x, y, px, py)
 
     def render(self) -> str:
         """Canonical text form; deterministic and parseable.
@@ -350,100 +363,9 @@ class PhasePoly:
         return f"{type(self).__name__}({self.render()!r})"
 
 
-def _nonpositive_y(y) -> DomainError:
-    return DomainError(f"evaluation requires y > 0, got y = {y}")
-
-
 def _overflow(x, y, px, py) -> DomainError:
     return DomainError(f"evaluation overflows at (x, y, px, py) = "
                        f"({x!r}, {y!r}, {px!r}, {py!r})")
-
-
-# terms per generated sum expression: CPython's compiler recurses once per
-# '+' of one expression and gives up somewhere below 3000 of them
-_SUM_CHUNK = 500
-
-
-def _statements(folded: Sequence[FloatTerms], targets: Sequence[str], coeffs: list[float],
-                powers: set[str]) -> list[str]:
-    """Generated statements that set each target to the sum of its folded
-    terms, at a point held in the locals x, u, px and py.
-
-    Each sum is bit for bit what PhasePoly.evaluate's loop gives.  The
-    statements first assign each distinct power a term uses (u**-2, px**2,
-    ...) to a local (u_m2, px_2, ...), unless powers already names it, and
-    add it there: the same float the loop's own `**` gives, and an overflow
-    still raises.  A factor with exponent 0 (the float 1.0) or 1 (the base
-    itself) is left out, which is exact.  Then each sum keeps the term
-    order and 0.0 as its first operand (so -0.0 terms still sum to 0.0),
-    in expressions of at most _SUM_CHUNK terms, and each product keeps the
-    factor order c * x * u * px * py.  The coefficients are appended to
-    coeffs and read as the globals c0, c1, ... by their index there, not
-    as printed literals, because a folded one can be inf or nan.
-    """
-    assigned = []
-    sums = []
-    for target, terms in zip(targets, folded):
-        products = []
-        for c, *exponents in terms:
-            factors = [f"c{len(coeffs)}"]
-            coeffs.append(c)
-            for var, e in zip(("x", "u", "px", "py"), exponents):
-                if e == 1:
-                    factors.append(var)
-                elif e:
-                    name = f"{var}_{e}".replace("-", "m")
-                    if name not in powers:
-                        powers.add(name)
-                        assigned.append(f"{name} = {var}**{e}")
-                    factors.append(name)
-            products.append(" * ".join(factors))
-        sums.append(f"{target} = 0.0")
-        sums += [f"{target} = {target} + {' + '.join(products[j:j + _SUM_CHUNK])}"
-                 for j in range(0, len(products), _SUM_CHUNK)]
-    return assigned + sums
-
-
-def _function(signature: str, body: Iterable[str], coeffs: Sequence[float],
-              **names) -> Callable:
-    """The function `def {signature}:` with the body's lines, already
-    indented, whose globals are the coefficients c0, c1, ... and the given
-    names.  The one place the package runs generated code."""
-    namespace = {f"c{i}": c for i, c in enumerate(coeffs)}
-    namespace.update(names)
-    exec("\n".join((f"def {signature}:", *body)), namespace)
-    # popped, so that the function and its globals form no cycle and are
-    # freed as soon as the caller drops the function
-    return namespace.pop(signature[:signature.index("(")])
-
-
-def compile_all(polys: Sequence[PhasePoly], k1: float = 0.0, k2: float = 0.0,
-                k3: float = 0.0) -> Callable[[float, float, float, float], tuple]:
-    """One generated function of (x, y, px, py) returning the tuple of the
-    polynomials' values at fixed parameters.
-
-    Each value is bit for bit what PhasePoly.evaluate's loop gives, and a
-    point outside the domain raises the same DomainError.  The function
-    takes the cube root of y once, and each distinct power once, into a
-    local that every term of every polynomial reuses (see _statements).
-    With no polynomials it returns () for any point, with no y check, as
-    the empty tuple of evaluate calls does.
-    """
-    coeffs: list[float] = []
-    folded = [p._fold(k1, k2, k3) for p in polys]
-    targets = [f"s{i}" for i in range(len(polys))]
-    body = []
-    if polys:
-        body += ["    if y <= 0.0:",
-                 "        raise _nonpositive_y(y)",
-                 "    u = y ** (1.0 / 3.0)",
-                 "    try:",
-                 *(f"        {line}" for line in _statements(folded, targets, coeffs, set())),
-                 "    except OverflowError:",
-                 "        raise _overflow(x, y, px, py) from None"]
-    body.append(f"    return ({''.join(f'{s}, ' for s in targets)})")
-    return _function("evaluate(x, y, px, py)", body, coeffs,
-                     _nonpositive_y=_nonpositive_y, _overflow=_overflow)
 
 
 # generators for building expressions algebraically

@@ -514,6 +514,7 @@ def test_simulate_rejects_bad_start():
     ("--h", "5e-324", "--t-end", "1"),
     ("--h", "1e-308", "--t-end", "1e308"),
     ("--h", "1e-300", "--t-end", "1"),
+    ("--h", "1.5e308", "--t-end", "1.5e308", "--integrator", "composed4"),
     ("--start=0,nan,0.5,0.5",),
     ("--start=inf,1,0.5,0.5",),
     ("--start=0,1e-7,0,0",),

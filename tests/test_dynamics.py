@@ -27,7 +27,7 @@ from holtkit.dynamics import (
     format_trajectory,
     integrate,
 )
-from holtkit.phasepoly import DomainError, PhasePoly, compile_all
+from holtkit.phasepoly import DomainError, PhasePoly
 
 U = catalog.build("U")
 START = (0.0, 1.0, 0.5, 0.5)
@@ -48,6 +48,17 @@ def test_simconfig_validation():
         SimConfig(h=1e-3, t_end=1.0, y_min=0.0)
     with pytest.raises(ValueError):
         SimConfig(h=1e-3, t_end=1.0, integrator="euler")
+
+
+def test_simconfig_refuses_substeps_past_the_float_range():
+    # a composed4 substep is _C1 * h and _C2 * h: inf and -inf here, where
+    # leapfrog2's one substep of h is finite
+    assert SimConfig(h=1.5e308, t_end=1.5e308).h == 1.5e308
+    with pytest.raises(ValueError, match=r"^step h = 1\.5e\+308 makes a composed4 "
+                                         r"substep of inf, past the float range$"):
+        SimConfig(h=1.5e308, t_end=1.5e308, integrator="composed4")
+    with pytest.raises(ValueError, match="past the float range"):
+        SimConfig()._replace(h=1.5e308, t_end=1.5e308, integrator="composed4")
 
 
 @pytest.mark.parametrize("field", ["h", "t_end", "y_min", "k1", "k2", "k3"])
@@ -254,10 +265,38 @@ def test_trajectory_table_round_trips():
     assert H0 == catalog.build("H_U").expression.evaluate(*START, k2=1.0, k3=0.5)
 
 
+# a potential with no force, so a run's state moves in straight lines
+NO_FORCE = catalog.CatalogEntry("zero", "potential", PhasePoly.zero(), "no force")
+
+
+def sampled(polys, point, k=None):
+    """Sample 0 of each polynomial tracked through one step of h = 1 from
+    point under no force, at the parameters k: what the generated run
+    function stores at the point itself.  Any y > 0 clears the guard
+    y_min = 5e-324."""
+    tracked = [catalog.CatalogEntry(f"P{i}", "integral", p, "tracked")
+               for i, p in enumerate(polys)]
+    cfg = SimConfig(h=1.0, t_end=1.0, y_min=5e-324, **(k or {}))
+    return tuple(column[0] for column in integrate(NO_FORCE, point, cfg, tracked).columns[5:])
+
+
+def run_sources(monkeypatch):
+    """The list that every later run's generated source is appended to, as
+    dynamics passes it to exec."""
+    sources = []
+
+    def recording_exec(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    # a module global shadows the builtin for dynamics alone
+    monkeypatch.setattr(dynamics, "exec", recording_exec, raising=False)
+    return sources
+
+
 def test_a_run_tracking_nothing_never_calls_an_invariant_evaluator(monkeypatch):
-    folded, emitted, generated = [], [], []
-    real_fold, real_statements, real_function = (
-        PhasePoly._fold, dynamics._statements, dynamics._function)
+    folded, emitted = [], []
+    real_fold, real_statements = PhasePoly._fold, dynamics._statements
 
     def fold(self, *k):
         folded.append(self)
@@ -268,19 +307,16 @@ def test_a_run_tracking_nothing_never_calls_an_invariant_evaluator(monkeypatch):
         emitted.append((tuple(targets), lines))
         return lines
 
-    def function(signature, body, *rest, **names):
-        generated.append((signature, list(body)))
-        return real_function(signature, generated[-1][1], *rest, **names)
-
     monkeypatch.setattr(PhasePoly, "_fold", fold)
     monkeypatch.setattr(dynamics, "_statements", statements)
-    monkeypatch.setattr(dynamics, "_function", function)
+    sources = run_sources(monkeypatch)
     traj = integrate(U, START, SimConfig(h=0.01, t_end=1.0, k2=1.0))
     assert len(folded) == 2  # the two force components only
     assert [(targets, bool(lines)) for targets, lines in emitted] == \
         [(("ax", "ay"), True), ((), False)]
-    (signature, body), = generated
-    assert signature == "run(x, y, px, py, s_x, s_y, s_px, s_py)"
+    (source,) = sources
+    signature, *body = source.split("\n")
+    assert signature == "def run(x, y, px, py, s_x, s_y, s_px, s_py):"
     # the force's sums are the only sums, and the state the only stores
     assert {line.split(" = ")[0].strip() for line in body if line.endswith(" = 0.0")} == \
         {"ax", "ay"}
@@ -460,18 +496,18 @@ def test_a_vector_field_cannot_be_tracked():
 
 
 def _reference_columns(potential, start, cfg, invariants=()):
-    """The columns of a run as a plain kick-drift-kick loop records them: one
-    compile_all force function called at each substep, and once every step
-    is taken, one compile_all function of the invariants called at each
-    sample.  It raises what integrate raises, in the same order."""
+    """The columns of a run as a plain kick-drift-kick loop records them: the
+    compiled force components called at each substep, and once every step
+    is taken, each invariant's compiled loop called at each sample in turn.
+    It raises what integrate raises, in the same order."""
     x, y, px, py = map(float, start)
-    V = potential.expression
-    force = compile_all((-V.diff("x"), -V.diff("y")), cfg.k1, cfg.k2, cfg.k3)
+    k = cfg.k1, cfg.k2, cfg.k3
+    fx, fy = ((-potential.expression.diff(v)).compile(*k) for v in ("x", "y"))
     h, y_min = cfg.h, cfg.y_min
     weights = ((1.0,) if cfg.integrator == "leapfrog2"
                else (dynamics._C1, dynamics._C2, dynamics._C1))
     n_steps = round(cfg.t_end / h)
-    ax, ay = force(x, y, px, py)
+    ax, ay = fx(x, y, px, py), fy(x, y, px, py)
     state = [[x], [y], [px], [py]]
     for i in range(n_steps):
         t = i * h
@@ -484,7 +520,7 @@ def _reference_columns(potential, start, cfg, invariants=()):
             t += dt
             if y <= y_min:
                 raise TrajectoryAborted(t, y, y_min)
-            ax, ay = force(x, y, px, py)
+            ax, ay = fx(x, y, px, py), fy(x, y, px, py)
             px += 0.5 * dt * ax
             py += 0.5 * dt * ay
         if not (isfinite(x) and isfinite(y) and isfinite(px) and isfinite(py)):
@@ -492,9 +528,9 @@ def _reference_columns(potential, start, cfg, invariants=()):
                               f"(x, y, px, py) = {(x, y, px, py)}")
         for column, value in zip(state, (x, y, px, py)):
             column.append(value)
-    evaluate = compile_all([e.expression for e in invariants], cfg.k1, cfg.k2, cfg.k3)
-    values = list(map(evaluate, *state))
-    return [[i * h for i in range(n_steps + 1)], *state, *map(list, zip(*values))]
+    evaluators = [e.expression.compile(*k) for e in invariants]
+    rows = [[evaluate(*point) for evaluate in evaluators] for point in zip(*state)]
+    return [[i * h for i in range(n_steps + 1)], *state, *map(list, zip(*rows))]
 
 
 def _run_outcome(run, *args):
@@ -546,13 +582,17 @@ REFERENCE_ERRORS = [
                  id="invariant-parameter-overflow"),
     pytest.param(START, dict(k1=1e200, k2=1.0, t_end=10.0), ("J_h2_4_k",),
                  id="y-guard-before-invariant-parameter-overflow"),
+    # leapfrog2 alone: composed4's substeps of this step are past the float
+    # range, which SimConfig refuses
     pytest.param(START, dict(k2=1.0, h=1.5e308, t_end=1.5e308), ("H_U",),
                  id="substeps-too-long-for-a-float"),
 ]
 
 
-@pytest.mark.parametrize("integrator", ["leapfrog2", "composed4"])
-@pytest.mark.parametrize("start, settings, names", REFERENCE_ERRORS)
+@pytest.mark.parametrize("start, settings, names, integrator", [
+    pytest.param(*row.values, integrator, id=f"{row.id}-{integrator}")
+    for row in REFERENCE_ERRORS for integrator in dynamics.INTEGRATORS
+    if (row.id, integrator) != ("substeps-too-long-for-a-float", "composed4")])
 def test_a_run_fails_as_the_reference_loop_fails(start, settings, names, integrator):
     cfg = SimConfig(**{"h": 1e-3, "t_end": 0.01, **settings, "integrator": integrator})
     args = (U, start, cfg, [catalog.build(n) for n in names])

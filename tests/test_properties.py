@@ -4,6 +4,8 @@ Polynomials are kept deliberately small: exactness does not depend on
 size, and sixth-degree randomized products would only burn time.
 """
 
+import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from operator import neg
@@ -12,8 +14,15 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holtkit import catalog, parsing
-from holtkit.dynamics import DriftReport, InvariantDrift, Trajectory, drift_report
+from holtkit import catalog, dynamics, parsing
+from holtkit.dynamics import (
+    DriftReport,
+    InvariantDrift,
+    SimConfig,
+    Trajectory,
+    drift_report,
+    integrate,
+)
 from holtkit.parsing import ParseError, parse_expression
 from holtkit.phasepoly import (
     PX,
@@ -25,12 +34,12 @@ from holtkit.phasepoly import (
     VectorField,
     X,
     Y,
-    compile_all,
     hamiltonian_vf,
     poisson_bracket,
     upow,
     vf_commutator,
 )
+from test_dynamics import _reference_columns, _run_outcome, run_sources, sampled
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6).filter(lambda q: q != 0)
@@ -219,10 +228,12 @@ flat_terms = st.builds(
 )
 wide_fractions = st.fractions(max_denominator=10**6).filter(lambda q: q != 0)
 parametric_polys = st.dictionaries(flat_terms, wide_fractions, max_size=8).map(PhasePoly)
-# mostly ordinary nonzero values, sometimes any float: 0.0, -0.0, subnormals,
-# huge, inf, nan
-coordinates = st.one_of(st.floats(0.05, 3), st.floats(-3, -0.05), st.floats())
-heights = st.one_of(st.floats(0.05, 4), st.floats(0.05, 4), st.floats())
+# mostly ordinary nonzero values, sometimes any finite float: 0.0, -0.0,
+# subnormals, huge
+coordinates = st.one_of(st.floats(0.05, 3), st.floats(-3, -0.05),
+                        st.floats(allow_nan=False, allow_infinity=False))
+# heights above the guard y_min = 1e-6 that a run's start must clear
+heights = st.one_of(st.floats(0.05, 4), st.floats(1e-6, exclude_min=True, allow_infinity=False))
 
 exact_values = st.one_of(st.none(), st.just(0), fractions)
 
@@ -286,39 +297,32 @@ def test_a_folded_coefficient_is_the_float_of_its_fraction(n, d, m):
     assert folded == {**({(1, 0, 0, 0): expected} if expected else {}), (0, 0, 0, 0): 1 / m}
 
 
-def _outcome(run):
-    try:
-        return repr(run())
-    except DomainError as exc:
-        return type(exc), str(exc)
+# more terms than one generated sum expression holds
+_MANY_TERMS = PhasePoly({Term(ex, eu, epx, 1): Fraction(ex - eu, 1 + epx)
+                         for ex in range(8) for eu in range(-5, 5) for epx in range(8)
+                         if ex != eu})
+assert len(_MANY_TERMS.nums) > dynamics._SUM_CHUNK
+# folded at k1 = 1e200, the coefficient 1e200 * 1e200 is inf
+_INF_COEFFICIENT = PhasePoly({Term(ex=1, k1=1): 10**200})
 
 
 @settings(max_examples=300, deadline=None)
-@given(parametric_polys, coordinates, heights, coordinates, coordinates,
-       coordinates, coordinates, coordinates)
-def test_compiled_evaluator_matches_the_evaluate_loop(p, x, y, px, py, k1, k2, k3):
-    compiled = _outcome(lambda: p.compile(k1, k2, k3)(x, y, px, py))
-    reference = _outcome(lambda: p.evaluate(x, y, px, py, k1=k1, k2=k2, k3=k3))
-    assert compiled == reference
-
-
-def _each_evaluated(polys, point, k1, k2, k3):
-    """The tuple of evaluate calls, after the parameters of every polynomial
-    are folded: compile_all reports a parameter error before any point is
-    seen, as folding each polynomial's parameters first does."""
-    for p in polys:
-        p._fold(k1, k2, k3)
-    return tuple(p.evaluate(*point, k1=k1, k2=k2, k3=k3) for p in polys)
-
-
-@settings(max_examples=300, deadline=None)
-@given(parametric_polys, parametric_polys, parametric_polys, coordinates, heights,
-       coordinates, coordinates, coordinates, coordinates, coordinates)
-def test_fused_evaluator_matches_each_evaluate_loop(p, q, r, x, y, px, py, k1, k2, k3):
-    point = (x, y, px, py)
-    fused = _outcome(lambda: compile_all([p, q, r], k1, k2, k3)(*point))
-    reference = _outcome(lambda: _each_evaluated([p, q, r], point, k1, k2, k3))
-    assert fused == reference
+@example([_MANY_TERMS], (0.9, 1.3, -1.1, 0.7), "composed4", (0.0, 1.0, 0.25))
+@example([_INF_COEFFICIENT, PhasePoly(), -X], (2.0, 1.0, 0.5, 0.5), "leapfrog2",
+         (1e200, 1.0, 0.0))
+@given(st.lists(parametric_polys, max_size=3),
+       st.tuples(coordinates, heights, coordinates, coordinates),
+       st.sampled_from(dynamics.INTEGRATORS),
+       st.tuples(coordinates, coordinates, coordinates))
+def test_a_run_samples_each_polynomial_as_its_compiled_loop_does(polys, start, integrator, k):
+    """Two steps of U tracking the drawn polynomials record, value for value
+    and error for error, what the reference loop records, which calls
+    PhasePoly.compile's loop for each polynomial at each sample."""
+    tracked = [catalog.CatalogEntry(f"P{i}", "integral", p, "drawn") for i, p in enumerate(polys)]
+    cfg = SimConfig(h=0.01, t_end=0.02, integrator=integrator, k1=k[0], k2=k[1], k3=k[2])
+    args = (catalog.build("U"), start, cfg, tracked)
+    assert _run_outcome(lambda *a: integrate(*a).columns, *args) == \
+        _run_outcome(_reference_columns, *args)
 
 
 def _trajectory(*columns):
@@ -372,34 +376,22 @@ def test_drift_report_never_takes_a_nan_deviation_for_the_largest():
     assert repr((drift.initial, drift.drift)) == "(nan, nan)"
 
 
-def test_fused_evaluator_of_no_polynomials_is_the_empty_tuple():
-    evaluate = compile_all([])
-    assert evaluate(0.5, 1.0, 0.0, 0.0) == ()
-    assert evaluate(0.5, -1.0, 0.0, 0.0) == ()  # no evaluate call, so no y check
-
-
 def test_fused_evaluator_keeps_a_repeated_polynomial():
     p = 3 * X * upow(-2) + PX**2
     point = (0.3, 1.7, -0.4, 0.2)
-    assert repr(compile_all([p, p])(*point)) == repr((p.evaluate(*point),) * 2)
+    assert repr(sampled([p, p], point)) == repr((p.evaluate(*point),) * 2)
 
 
-class CountingFloat(float):
-    """A float that records each exponent it is raised to."""
-
-    powers: list = []
-
-    def __pow__(self, e):
-        CountingFloat.powers.append(e)
-        return float(self) ** e
-
-
-def test_fused_evaluator_shares_powers_across_polynomials():
+def test_fused_evaluator_shares_powers_across_polynomials(monkeypatch):
     polys = [PX**2, 5 * X * PX**2, PX**2 * upow(-2) + PX**3, PX**3]
-    point = (0.3, 1.7, CountingFloat(-0.4), 0.2)
-    CountingFloat.powers = []
-    values = compile_all(polys)(*point)
-    assert sorted(CountingFloat.powers) == [2, 3]  # px**2 and px**3 once each
+    point = (0.3, 1.7, -0.4, 0.2)
+    sources = run_sources(monkeypatch)
+    values = sampled(polys, point)
+    (source,) = sources
+    # px**2, u**-2 and px**3 once each where sample 0 is recorded, and once
+    # where the loop records each later sample
+    assert Counter(re.findall(r"^ *(\w+ = \w+\*\*-?\d+)$", source, re.MULTILINE)) == \
+        {"px_2 = px**2": 2, "u_m2 = u**-2": 2, "px_3 = px**3": 2}
     assert repr(values) == repr(tuple(p.evaluate(*point) for p in polys))
 
 
