@@ -39,7 +39,7 @@ from holtkit.phasepoly import (
     upow,
     vf_commutator,
 )
-from test_dynamics import _reference_columns, _run_outcome, run_sources, sampled
+from test_dynamics import NO_FORCE, _reference_columns, _run_outcome, run_sources, sampled
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6).filter(lambda q: q != 0)
@@ -296,6 +296,58 @@ def test_a_folded_coefficient_is_the_float_of_its_fraction(n, d, m):
     folded = {tuple(mono): c for c, *mono in p._fold(0.0, 0.0, 0.0)}
     assert folded == {**({(1, 0, 0, 0): expected} if expected else {}), (0, 0, 0, 0): 1 / m}
 
+
+# the draws of one evaluation, which needs no finite start: inf and nan too
+wide_coordinates = st.one_of(st.floats(0.05, 3), st.floats(-3, -0.05), st.floats())
+wide_heights = st.one_of(st.floats(0.05, 4), st.floats(0.05, 4), st.floats())
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parametric_polys, wide_coordinates, wide_heights, wide_coordinates, wide_coordinates,
+       wide_coordinates, wide_coordinates, wide_coordinates)
+def test_compiled_evaluator_matches_the_evaluate_loop(p, x, y, px, py, k1, k2, k3):
+    compiled = _outcome(lambda: p.compile(k1, k2, k3)(x, y, px, py))
+    reference = _outcome(lambda: p.evaluate(x, y, px, py, k1=k1, k2=k2, k3=k3))
+    assert compiled == reference
+
+
+def _each_evaluated(polys, point, k1, k2, k3):
+    """The tuple of evaluate calls, after the parameters of every polynomial
+    are folded: a run reports a parameter error before any overflow at a
+    point, as folding each polynomial's parameters first does."""
+    for p in polys:
+        p._fold(k1, k2, k3)
+    return tuple(p.evaluate(*point, k1=k1, k2=k2, k3=k3) for p in polys)
+
+
+def _sample_zero(polys, point, k1, k2, k3):
+    """What a run tracking polys stores at its start point: integrate with
+    its step count patched to 0, a run SimConfig cannot ask for, so that no
+    step can abort or overflow before the sample is checked."""
+    tracked = [catalog.CatalogEntry(f"P{i}", "integral", p, "tracked")
+               for i, p in enumerate(polys)]
+    cfg = SimConfig(h=1.0, t_end=1.0, y_min=5e-324, k1=k1, k2=k2, k3=k3)
+    with mock.patch.object(dynamics, "round", lambda _: 0, create=True):
+        traj = integrate(NO_FORCE, point, cfg, tracked)
+    assert len(traj) == 1
+    return tuple(column[0] for column in traj.columns[5:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(parametric_polys, parametric_polys, parametric_polys, coordinates, heights,
+       coordinates, coordinates, coordinates, coordinates, coordinates)
+def test_fused_evaluator_matches_each_evaluate_loop(p, q, r, x, y, px, py, k1, k2, k3):
+    point = (x, y, px, py)
+    fused = _outcome(lambda: _sample_zero([p, q, r], point, k1, k2, k3))
+    reference = _outcome(lambda: _each_evaluated([p, q, r], point, k1, k2, k3))
+    assert fused == reference
 
 # more terms than one generated sum expression holds
 _MANY_TERMS = PhasePoly({Term(ex, eu, epx, 1): Fraction(ex - eu, 1 + epx)
