@@ -128,11 +128,14 @@ class PhasePoly:
         return cls._wrap(den, accumulate({}, ((k, n * (den // d)) for k, n, d in rows)))
 
     @classmethod
-    def _wrap(cls, den: int, nums: dict) -> "PhasePoly":
+    def _wrap(cls, den: int, nums: dict, order: Iterable[int] | None = None) -> "PhasePoly":
         """Trusted constructor: den > 0 and nums maps tuples to nonzero ints;
-        their running gcd, which stops at 1, reduces the pair to lowest terms."""
+        their running gcd, which stops at 1, reduces the pair to lowest terms.
+        The gcd takes nums' numerators in order, if given, or as nums holds
+        them."""
         g = den
-        for n in nums.values() if den != 1 else ():  # a gcd with 1 is 1
+        order = nums.values() if order is None else order
+        for n in order if den != 1 else ():  # a gcd with 1 is 1
             g = gcd(g, n)
             if g == 1:  # no numerator can lower it further
                 break
@@ -194,7 +197,10 @@ class PhasePoly:
         # a factor of 1 leaves its numerators as they are
         left = dict(self.nums) if a == 1 else {k: n * a for k, n in self.nums.items()}
         right = o.nums.items() if b == 1 else ((k, n * b) for k, n in o.nums.items())
-        return self._wrap(den, accumulate(left, right))
+        nums = accumulate(left, right)
+        # a factor a != 1 divides every numerator left on a key of self alone,
+        # so the gcd meets the keys o added, last in nums, first
+        return self._wrap(den, nums, reversed(nums.values()) if a != 1 else None)
 
     def __add__(self, other) -> "PhasePoly":
         o = self._coerce(other)
@@ -455,5 +461,11 @@ def hamiltonian_vf(f: PhasePoly) -> VectorField:
 
 
 def vf_commutator(a: VectorField, b: VectorField) -> VectorField:
-    """[a, b], componentwise a(b_i) - b(a_i)."""
-    return VectorField(*(a.apply(bi) - b.apply(ai) for ai, bi in zip(a, b)))
+    """[a, b], componentwise a(b_i) - b(a_i), each component one kernel call
+    of the eight products a_v * d b_i/dv and -b_v * d a_i/dv."""
+    pairs = [(ac._operand(), bc._operand(), SLOTS[var])
+             for ac, bc, var in zip(a, b, ("x", "y", "px", "py"))]
+    return VectorField(*(PhasePoly._wrap(*sum_of_products(
+        [(1, (av, None), (bi, v)) for av, _, v in pairs]
+        + [(-1, (bv, None), (ai, v)) for _, bv, v in pairs]))
+        for ai, bi, _ in pairs))

@@ -5,19 +5,21 @@ bracket expansions overflow 64-bit integers, so fixed-width arithmetic is
 never used.
 
 A polynomial is stored as the kernel reads it: one positive integer
-denominator and a dict from an exponent tuple to a nonzero integer
-numerator (the layout of SymPy's PolyElement, over one denominator).  Sums
-go through one accumulate helper.  Every product goes through one
-sum-of-products kernel, sum_of_products: a plain product is one (sign, a,
-b) triple, a Poisson bracket or a vector field applied to a polynomial is
-four.  A factor is an operand as it is stored and the direction of a
-derivative that the kernel takes in the key layout it adds.  All pairs of
-all products accumulate into one integer dict over one common denominator,
-with no cancelled term, which the caller stores as it is, reduced by the
-gcd.  Small products (at most _PACK_RATIO pairs per operand term, such as a
-monomial times a polynomial) add exponent tuples; larger ones pack each
-operand once into one integer per term (Kronecker substitution), in slots
-that hold every exponent of the operands and their derivatives.
+denominator and a dict from a key, the tuple of a PhasePoly's seven
+exponents (x, u, px, py, k1, k2, k3), to a nonzero integer numerator (the
+layout of SymPy's PolyElement, over one denominator).  Sums go through one
+accumulate helper.  Every product goes through one sum-of-products kernel,
+sum_of_products: a plain product is one (sign, a, b) triple, a Poisson
+bracket or a vector field applied to a polynomial is four, and one
+component of a commutator of vector fields is eight.  A factor is an
+operand as it is stored and the direction of a derivative that the kernel
+takes in the key layout it adds.  All pairs of all products accumulate
+into one integer dict over one common denominator, with no cancelled term,
+which the caller stores as it is, reduced by the gcd.  Small products (at
+most _PACK_RATIO pairs per operand term, such as a monomial times a
+polynomial) add the seven exponents of two keys one by one; larger ones
+pack each operand once into one integer per term (Kronecker substitution),
+in slots that hold every exponent of the operands and their derivatives.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add, mul
+from operator import mul
 from typing import Collection, Hashable, Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -53,10 +55,14 @@ Products = list[tuple[int, int, Collection, Optional[tuple], Collection, Optiona
 
 
 # pairs per operand term above which the products add packed keys: packing
-# an operand term or decoding a result term costs what packing saves on two
-# or three pairs.  Brackets run faster packed from 20 x 5 terms (0.8x the
-# tuple time) and 15 x 6 (0.9x), slower at 6 x 5 (1.2-1.4x); products whose
-# pairs rarely merge (random sparse 20 x 20) run 1.1-1.6x slower packed
+# an operand term or decoding a result term costs what packing saves on a
+# few pairs.  Against the unpacked tuple loop (Python 3.11.7), the ladder's
+# brackets {K3_4^a, K2_3^b} run faster packed from 20 x 15 terms (0.9x the
+# tuple time) to 105 x 35 (0.6x), about even at 105 x 5 (1.0x) and slower
+# at 6 x 15 (1.45x); random brackets of 20 x 5 and 15 x 6 terms, whose
+# pairs merge less, run 1.7-1.8x slower packed, random sparse 20 x 20
+# products 2.3x.  Any ratio from 4 to 10 gives the ladder's kernel the same
+# time to within 1%
 _PACK_RATIO = 4
 
 
@@ -69,18 +75,45 @@ def partial(terms: Iterable[tuple[tuple, int]], direction: tuple[int, int]) -> l
             for k, n in terms if k[slot]]
 
 
+def _scaled(terms: Iterable[tuple[tuple, int]], slot: int) -> list:
+    """The terms with a nonzero exponent in the slot, each numerator times
+    that exponent, on their own keys: partial before its key shift."""
+    return [(k, n * k[slot]) for k, n in terms if k[slot]]
+
+
 def _tuple_products(products: Products, den: int) -> dict[tuple, int]:
     """Accumulate the products over the common denominator den on
-    exponent-tuple keys, leaving out the sums that cancel."""
+    exponent-tuple keys, leaving out the sums that cancel.
+
+    Keys are unpacked into their seven exponents, which adds a pair's keys
+    in about 80 ns against 350 ns for a map over them (Python 3.11.7).  A
+    derivative keeps its factor's keys (see _scaled), and each left term
+    takes the product's key shift, minus the scale in each differentiated
+    slot, once.
+    """
     sums: dict[tuple, int] = {}
     get = sums.get
     for sign, d, a, va, b, vb in products:
         factor = sign * (den // d)
-        right = partial(b, vb) if vb else b
-        for ka, na in partial(a, va) if va else a:
+        shift = [0] * 7
+        if va:
+            a = _scaled(a, va[0])
+            shift[va[0]] -= va[1]
+        if vb:
+            b = _scaled(b, vb[0])
+            shift[vb[0]] -= vb[1]
+        s0, s1, s2, s3, s4, s5, s6 = shift
+        for (a0, a1, a2, a3, a4, a5, a6), na in a:
             na *= factor
-            for kb, nb in right:
-                key = (*map(add, ka, kb),)
+            a0 += s0
+            a1 += s1
+            a2 += s2
+            a3 += s3
+            a4 += s4
+            a5 += s5
+            a6 += s6
+            for (b0, b1, b2, b3, b4, b5, b6), nb in b:
+                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6)
                 sums[key] = get(key, 0) + na * nb
     return {k: n for k, n in sums.items() if n}
 

@@ -266,6 +266,18 @@ def test_every_derived_polynomial_is_keyed_by_exponent_tuples(f, g, var, k1, k2,
     assert (made[-1].den, made[-1].nums) == (1, {})
 
 
+fields = st.builds(VectorField, parametric_polys, parametric_polys, parametric_polys,
+                   parametric_polys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, fields)
+def test_the_commutator_matches_two_applications_per_component(a, b):
+    """vf_commutator takes each component in one kernel call; two apply
+    calls and a difference, one component at a time, are its reference."""
+    assert list(vf_commutator(a, b)) == [a.apply(bi) - b.apply(ai) for ai, bi in zip(a, b)]
+
+
 # integers from small to far past the float range, and denominators from 1 to
 # past 2^1074, so that quotients overflow, underflow or round at a tie
 _fold_numerators = st.one_of(st.integers(-10**30, 10**30),

@@ -86,15 +86,16 @@ def test_equality_against_numbers():
 def test_sum_of_products_on_plain_exponent_tuples():
     assert ring.sum_of_products([]) == (1, {})
     # factors (operand, direction) of operands (den, [(exponents, numerator)])
-    # in x and y, each taken as it is (direction None)
-    plus = ((2, [((1, 0), 2), ((0, 0), 1)]), None)  # x + 1/2
-    minus = ((2, [((1, 0), 2), ((0, 0), -1)]), None)  # x - 1/2
-    third_y = ((3, [((0, 1), 1)]), None)
+    # in x and y, slots 0 and 1 of the seven, each taken as it is (direction None)
+    plus = ((2, [((1, 0, 0, 0, 0, 0, 0), 2), ((0, 0, 0, 0, 0, 0, 0), 1)]), None)  # x + 1/2
+    minus = ((2, [((1, 0, 0, 0, 0, 0, 0), 2), ((0, 0, 0, 0, 0, 0, 0), -1)]), None)  # x - 1/2
+    third_y = ((3, [((0, 1, 0, 0, 0, 0, 0), 1)]), None)
     empty = ((1, []), None)
     den, sums = ring.sum_of_products([(1, plus, minus), (-1, third_y, third_y),
                                       (1, third_y, empty)])
     # x^2 - 1/4 - 1/9 y^2 over 36; the x terms cancel and are left out
-    assert den == 36 and sums == {(2, 0): 36, (0, 0): -9, (0, 2): -4}
+    assert den == 36 and sums == {(2, 0, 0, 0, 0, 0, 0): 36, (0, 0, 0, 0, 0, 0, 0): -9,
+                                  (0, 2, 0, 0, 0, 0, 0): -4}
     den, sums = ring.sum_of_products([(1, plus, minus), (-1, minus, plus)])
     assert den == 4 and sums == {}
 
@@ -102,18 +103,18 @@ def test_sum_of_products_on_plain_exponent_tuples():
 def test_sum_of_products_differentiates_a_factor_along_its_direction():
     # (y^4 + 7x) / 5, whose slot 1 has scale 2 here (as if y = v^2): its
     # derivative along that slot is 4/10 y^2, times x + 1/2
-    y4 = (5, [((0, 4), 1), ((1, 0), 7)])
-    plus = ((2, [((1, 0), 2), ((0, 0), 1)]), None)
+    y4 = (5, [((0, 4, 0, 0, 0, 0, 0), 1), ((1, 0, 0, 0, 0, 0, 0), 7)])
+    plus = ((2, [((1, 0, 0, 0, 0, 0, 0), 2), ((0, 0, 0, 0, 0, 0, 0), 1)]), None)
     den, sums = ring.sum_of_products([(1, (y4, (1, 2)), plus)])
-    assert den == 20 and sums == {(1, 2): 8, (0, 2): 4}
-    assert ring.partial(y4[1], (1, 2)) == [((0, 2), 4)]
-    assert ring.partial(y4[1], (0, 1)) == [((0, 0), 7)]
+    assert den == 20 and sums == {(1, 2, 0, 0, 0, 0, 0): 8, (0, 2, 0, 0, 0, 0, 0): 4}
+    assert ring.partial(y4[1], (1, 2)) == [((0, 2, 0, 0, 0, 0, 0), 4)]
+    assert ring.partial(y4[1], (0, 1)) == [((0, 0, 0, 0, 0, 0, 0), 7)]
 
 
 def test_sum_of_products_adds_the_same_terms_in_either_key_layout():
     # nine terms times nine is more than ring._PACK_RATIO pairs per operand
     # term, so these products add packed keys; one term times nine adds tuples
-    wide = ((1, [((i, -i), i + 1) for i in range(9)]), None)
+    wide = ((1, [((i, -i, 0, 0, 0, 0, 0), i + 1) for i in range(9)]), None)
     assert ring.sum_of_products([(1, wide, wide), (-1, wide, wide)]) == (1, {})
     square = ring.sum_of_products([(1, wide, wide)])
     by_term = [ring.sum_of_products([(1, ((1, [term]), None), wide)])[1]
@@ -125,14 +126,44 @@ def test_sum_of_products_adds_the_same_terms_in_either_key_layout():
     assert square == (1, expected)
 
 
+def test_both_key_layouts_take_the_same_derivatives_of_each_factor(monkeypatch):
+    # seven-slot keys with negative u exponents; every product differentiates
+    # both factors, along y (slot 1, scale 3) or along x, px or py
+    f = (6, [((2, -4, 1, 0, 1, 0, 0), 5), ((0, 5, 0, 2, 0, 1, 0), -3),
+             ((1, -1, 3, 0, 0, 0, 2), 1), ((0, -6, 0, 1, 0, 0, 0), 4)])
+    g = (5, [((1, -2, 0, 1, 0, 0, 1), 7), ((0, 3, 2, 0, 2, 0, 0), 2),
+             ((3, 0, 0, 0, 0, 1, 0), -4), ((1, -3, 1, 2, 0, 0, 0), 1)])
+    y, x, px, py = (1, 3), (0, 1), (2, 1), (3, 1)
+    triples = [(1, (f, y), (g, px)), (-1, (f, x), (g, y)), (1, (g, y), (f, y)),
+               (-1, (f, py), (g, x))]
+    F, G = (PhasePoly({k: Fraction(n, d) for k, n in terms}) for d, terms in (f, g))
+    expected = (F.diff("y") * G.diff("px") - F.diff("x") * G.diff("y")
+                + G.diff("y") * F.diff("y") - F.diff("py") * G.diff("x"))
+    layouts = []
+    for name in ("_tuple_products", "_packed_products"):
+        def layout(products, den, real=getattr(ring, name), name=name):
+            layouts.append(name)
+            return real(products, den)
+
+        monkeypatch.setattr(ring, name, layout)
+    sums = []
+    for ratio in (10**6, -1):  # no product is over this many pairs per term, then every one is
+        monkeypatch.setattr(ring, "_PACK_RATIO", ratio)
+        sums.append(ring.sum_of_products(triples))
+    assert layouts == ["_tuple_products", "_packed_products"]
+    assert sums[0] == sums[1]
+    assert PhasePoly._wrap(*sums[0]) == expected and not expected.is_zero
+
+
 def test_a_product_whose_derivative_has_no_terms_is_dropped():
     # the slot-1 derivative of x / 7 has no terms, so neither its 7 nor the
     # slot's scale 3 enters the common denominator
-    x_over_7 = (7, [((1, 0), 1)])
-    plus = ((2, [((1, 0), 2), ((0, 0), 1)]), None)
+    x_over_7 = (7, [((1, 0, 0, 0, 0, 0, 0), 1)])
+    plus = ((2, [((1, 0, 0, 0, 0, 0, 0), 2), ((0, 0, 0, 0, 0, 0, 0), 1)]), None)
     assert ring.sum_of_products([(1, (x_over_7, (1, 3)), plus)]) == (1, {})
     assert ring.sum_of_products([(1, plus, (x_over_7, (1, 3))),
-                                 (1, (x_over_7, (0, 1)), plus)]) == (14, {(1, 0): 2, (0, 0): 1})
+                                 (1, (x_over_7, (0, 1)), plus)]) == (
+        14, {(1, 0, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, 0, 0): 1})
 
 
 def test_one_suite_hands_the_layouts_only_products_with_terms(monkeypatch):
