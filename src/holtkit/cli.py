@@ -1,10 +1,11 @@
 """Command-line interface: verify, bracket, catalog, simulate.
 
-Exit codes: 0 success, 1 verification failure, 2 argument errors or an
-unwritable --out, 3 trajectory domain abort (a y-guard crossing, a
-non-finite state or an overflow that raises, not a coefficient folded to
-inf), 141 stdout closed by its reader.  Stdout is deterministic for fixed
-arguments; timings go only into JSON reports.
+Exit codes: 0 success, 1 verification failure, 2 argument errors, an
+unwritable --out or a failed stdout write (as on a full disk), 3
+trajectory domain abort (a y-guard crossing, a non-finite state or an
+overflow that raises, not a coefficient folded to inf), 141 stdout closed
+by its reader.  Stdout is deterministic for fixed arguments; timings go
+only into JSON reports.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
 def _run_verify(args, parser) -> int:
     report = verify.full_suite()
     sys.stdout.write(report.render_text())
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, report.to_json(), parser)
     return 0 if report.all_passed else 1
 
@@ -217,7 +218,7 @@ def _run_simulate(args, parser) -> int:
 
     table = format_trajectory(traj)
     report = drift_report(traj)
-    if args.out:
+    if args.out is not None:
         _write_out(args.out, table, parser)
     else:
         sys.stdout.write(table)
@@ -234,9 +235,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = globals()[f"_run_{args.command}"](args, parser)
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader went away, as `| head` does
+    except OSError as exc:  # stdout failed: its reader went away (`| head`) or its disk is full
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the exit flush
-        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+        print(f"{parser.prog}: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -38,12 +38,12 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .ring import Scalar, Scaled, accumulate, partial, sum_of_products
+from .ring import Scalar, Scaled, accumulate, sum_of_products
 
 
 class DomainError(ValueError):
-    """Numeric evaluation outside its domain: y <= 0, a non-finite point,
-    or a value too large for a float."""
+    """Numeric evaluation outside its domain: y <= 0, a run's non-finite
+    state, or a value too large for a float."""
 
 
 # momentum-leading order, matching how the integrals are written: (epx, epy,
@@ -128,14 +128,11 @@ class PhasePoly:
         return cls._wrap(den, accumulate({}, ((k, n * (den // d)) for k, n, d in rows)))
 
     @classmethod
-    def _wrap(cls, den: int, nums: dict, order: Iterable[int] | None = None) -> "PhasePoly":
+    def _wrap(cls, den: int, nums: dict) -> "PhasePoly":
         """Trusted constructor: den > 0 and nums maps tuples to nonzero ints;
-        their running gcd, which stops at 1, reduces the pair to lowest terms.
-        The gcd takes nums' numerators in order, if given, or as nums holds
-        them."""
+        their running gcd, which stops at 1, reduces the pair to lowest terms."""
         g = den
-        order = nums.values() if order is None else order
-        for n in order if den != 1 else ():  # a gcd with 1 is 1
+        for n in nums.values() if den != 1 else ():  # a gcd with 1 is 1
             g = gcd(g, n)
             if g == 1:  # no numerator can lower it further
                 break
@@ -194,13 +191,8 @@ class PhasePoly:
         """self + sign * o over the lcm of the two denominators."""
         den = lcm(self.den, o.den)
         a, b = den // self.den, sign * (den // o.den)
-        # a factor of 1 leaves its numerators as they are
-        left = dict(self.nums) if a == 1 else {k: n * a for k, n in self.nums.items()}
-        right = o.nums.items() if b == 1 else ((k, n * b) for k, n in o.nums.items())
-        nums = accumulate(left, right)
-        # a factor a != 1 divides every numerator left on a key of self alone,
-        # so the gcd meets the keys o added, last in nums, first
-        return self._wrap(den, nums, reversed(nums.values()) if a != 1 else None)
+        return self._wrap(den, accumulate({k: n * a for k, n in self.nums.items()},
+                                          ((k, n * b) for k, n in o.nums.items())))
 
     def __add__(self, other) -> "PhasePoly":
         o = self._coerce(other)
@@ -250,12 +242,17 @@ class PhasePoly:
         """Partial derivative along x, u, px, py, or y.
 
         The y-derivative is the chain rule through u: a monomial u^n maps
-        to (n/3) u^(n-3), which keeps the result inside the ring.
+        to (n/3) u^(n-3), which keeps the result inside the ring.  Along a
+        direction (slot, scale), a term with exponent e != 0 in the slot
+        takes n * e and drops e by the scale, which multiplies the
+        denominator; terms stay distinct.
         """
-        direction = SLOTS.get(var, (_PARAM_SLOT, 0))
-        if direction[0] >= _PARAM_SLOT:
+        slot, scale = SLOTS.get(var, (_PARAM_SLOT, 0))
+        if slot >= _PARAM_SLOT:
             raise ValueError(f"unknown direction {var!r}")
-        return self._wrap(self.den * direction[1], dict(partial(self.nums.items(), direction)))
+        nums = {k[:slot] + (k[slot] - scale,) + k[slot + 1:]: n * k[slot]
+                for k, n in self.nums.items() if k[slot]}
+        return self._wrap(self.den * scale, nums)
 
     def substitute_params(self, k1: Scalar | None = None, k2: Scalar | None = None,
                           k3: Scalar | None = None) -> "PhasePoly":

@@ -66,18 +66,9 @@ Products = list[tuple[int, int, Collection, Optional[tuple], Collection, Optiona
 _PACK_RATIO = 4
 
 
-def partial(terms: Iterable[tuple[tuple, int]], direction: tuple[int, int]) -> list:
-    """The derivative of integer numerators along a direction (slot, scale),
-    y being u^3: a term with exponent e != 0 in the slot takes n * e and drops
-    e by the scale, which multiplies the denominator; terms stay distinct."""
-    slot, scale = direction
-    return [(k[:slot] + (k[slot] - scale,) + k[slot + 1:], n * k[slot])
-            for k, n in terms if k[slot]]
-
-
 def _scaled(terms: Iterable[tuple[tuple, int]], slot: int) -> list:
     """The terms with a nonzero exponent in the slot, each numerator times
-    that exponent, on their own keys: partial before its key shift."""
+    that exponent, on their own keys: a derivative before its key shift."""
     return [(k, n * k[slot]) for k, n in terms if k[slot]]
 
 
@@ -183,13 +174,13 @@ def sum_of_products(triples: Iterable[tuple[int, tuple, tuple]]
 
     Each factor is (operand, direction): integer numerators over a
     denominator, as a PhasePoly stores its terms, and the (slot, scale) of
-    a derivative to take of them (see partial), or None.  Every pair of
-    every product accumulates into one integer dict over one common
+    a derivative to take of them by PhasePoly.diff's rule, or None.  Every
+    pair of every product accumulates into one integer dict over one common
     denominator.  A product with no terms, the derivative it asks for
     included, is dropped before its denominator and pairs count.  A term
-    that cancels is left out.  Exponents are added as
-    packed integer keys when the operands' own products have more than
-    _PACK_RATIO pairs per operand term, as tuples otherwise.
+    that cancels is left out.  Exponents are added as packed integer keys
+    when the operands' own products have more than _PACK_RATIO pairs per
+    operand term, as tuples otherwise.
     """
     products, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
     for sign, ((da, a), va), ((db, b), vb) in triples:

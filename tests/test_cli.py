@@ -1,6 +1,7 @@
 """Exit-code contract and deterministic output of the command surface."""
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -485,12 +486,14 @@ def test_an_invariant_coefficient_folded_to_inf_is_not_an_exit_3(capsys):
     ("simulate", "--potential", "U", "--k2", "1", "--start", "0,1,0.5,0.5", "--t-end", "0.01"),
 ])
 def test_unwritable_out_is_an_argument_error(tmp_path, capsys, argv):
-    path = str(tmp_path / "missing" / "out.txt")
-    with pytest.raises(SystemExit) as exc_info:
-        main([*argv, "--out", path])
-    assert exc_info.value.code == 2
-    err = capsys.readouterr().err
-    assert path in err and err.count("\n") == 1
+    # an empty --out names no file either, and simulate never falls back to stdout
+    for path in (str(tmp_path / "missing" / "out.txt"), ""):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--out", path])
+        assert exc_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert err == f"holtkit: error: cannot write --out {path}: {os.strerror(errno.ENOENT)}\n"
+        assert argv[0] == "verify" or out == ""
 
 
 def test_simulate_rejects_bad_start():
@@ -563,6 +566,24 @@ def test_a_closed_stdout_ends_quietly_with_exit_141(argv):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["catalog", "list"],
+    ["simulate", "--potential", "U", "--k2", "1", "--start", "0,1,0.5,0.5", "--t-end", "1"],
+], ids=["verify", "catalog_list", "simulate"])
+def test_a_failed_stdout_write_is_an_exit_2_with_one_line(argv):
+    """A stdout that refuses the text, as a full disk does, is reported in
+    one line with exit 2, not a traceback with exit 1 (a failed check)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(holtkit.__file__).resolve().parents[1]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "holtkit", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.decode() == \
+        f"holtkit: error: cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_unknown_subcommand_is_an_argument_error():

@@ -278,6 +278,23 @@ def test_the_commutator_matches_two_applications_per_component(a, b):
     assert list(vf_commutator(a, b)) == [a.apply(bi) - b.apply(ai) for ai, bi in zip(a, b)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(phase_polys, parametric_polys))
+@example(Fraction(2, 5) * upow(-4) * X**2 * PX + Fraction(-7, 3) * Y * PY**3 + 1)
+def test_diff_lowers_each_term_by_its_exponent(p):
+    """Along x, px and py a term c * v^e becomes e * c * v^(e - 1); along y,
+    whose exponent is counted in u = y^(1/3), c * u^eu becomes
+    Fraction(eu, 3) * c * u^(eu - 3).  The reference is built term by term
+    from Terms and Fractions, with no key slicing and no kernel."""
+    for var, name, step in (("x", "ex", 1), ("y", "eu", 3), ("px", "epx", 1), ("py", "epy", 1)):
+        expected = {}
+        for term, c in p.terms.items():
+            e = getattr(term, name)
+            if e:
+                expected[term._replace(**{name: e - step})] = Fraction(e, step) * c
+        assert p.diff(var) == PhasePoly(expected)
+
+
 # integers from small to far past the float range, and denominators from 1 to
 # past 2^1074, so that quotients overflow, underflow or round at a tie
 _fold_numerators = st.one_of(st.integers(-10**30, 10**30),
