@@ -79,6 +79,18 @@ _FIELDS = {
 }
 
 
+# transcription text -> its parsed value; only the texts above enter it
+_PARSED: dict[str, PhasePoly] = {}
+
+
+def _parsed(text: str) -> PhasePoly:
+    """A fresh copy of the parsed text, which is parsed on its first call only."""
+    stored = _PARSED.get(text)
+    if stored is None:
+        stored = _PARSED[text] = parse_expression(text)
+    return PhasePoly._wrap(stored.den, dict(stored.nums))
+
+
 def names() -> list[str]:
     """All catalog identifiers, grouped by kind, deterministic order."""
     out = list(_POTENTIALS)
@@ -91,27 +103,29 @@ def names() -> list[str]:
 def build(name: str, in_force: dict[str, CatalogEntry] | None = None) -> CatalogEntry:
     """Construct a catalog entry with symbolic k-coefficients.
 
-    A derived entry (H_<V>, X2, X3, X4) reads its source through
-    entry(source, in_force), so an overridden source in in_force carries
-    the override into it.
+    A transcribed entry is a fresh copy of its text's value, which is
+    parsed once per process, so no two builds share an expression and no
+    caller can change what a later build returns.  A derived entry (H_<V>,
+    X2, X3, X4) reads its source through entry(source, in_force) on every
+    build, so an overridden source in in_force carries the override into it.
     """
     in_force = {} if in_force is None else in_force
     if name in _POTENTIALS:
         kind, (text, source, _) = "potential", _POTENTIALS[name]
-        expr = parse_expression(text)
+        expr = _parsed(text)
     elif name.startswith("H_") and name[2:] in _POTENTIALS:
         kind, V = "hamiltonian", name[2:]
         expr = KINETIC + entry(V, in_force).expression
         source = f"kinetic term plus {V}; {_POTENTIALS[V][1]}"
     elif name in _INTEGRALS:
         kind, (text, source) = "integral", _INTEGRALS[name]
-        expr = parse_expression(text)
+        expr = _parsed(text)
     elif name in _FIELDS:
         kind, (spec, source) = "vectorfield", _FIELDS[name]
         if isinstance(spec, str):
             expr = hamiltonian_vf(entry(spec, in_force).expression)
         else:
-            expr = VectorField(*map(parse_expression, spec))
+            expr = VectorField(*map(_parsed, spec))
     else:
         raise KeyError(f"unknown catalog name {name!r}; see names()")
     return CatalogEntry(name, kind, expr, source)

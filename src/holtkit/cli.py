@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import catalog, verify
+from . import catalog
 from .dynamics import (
     INTEGRATORS,
     SimConfig,
@@ -137,11 +137,12 @@ def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        parser.exit(2, f"{parser.prog}: error: cannot write --out {path}: "
+        parser.exit(2, f"{parser.prog}: error: cannot write --out {_quoted(path)}: "
                        f"{exc.strerror}\n")
 
 
 def _run_verify(args, parser) -> int:
+    from . import verify  # only this command runs the suite; keep it out of the others' start-up
     report = verify.full_suite()
     sys.stdout.write(report.render_text())
     if args.out is not None:

@@ -7,6 +7,14 @@ from holtkit.parsing import parse_expression
 from holtkit.phasepoly import K2, PhasePoly, X, hamiltonian_vf, poisson_bracket
 
 
+def transcriptions():
+    """Every text the catalog stores: potentials, integrals, Gamma_H's components."""
+    texts = [text for text, *_ in (*catalog._POTENTIALS.values(), *catalog._INTEGRALS.values())]
+    texts += [text for spec, _ in catalog._FIELDS.values() if not isinstance(spec, str)
+              for text in spec]
+    return texts
+
+
 def test_names_cover_all_kinds():
     names = catalog.names()
     assert len(names) == len(set(names))
@@ -45,6 +53,45 @@ def test_entries_are_fresh_per_build():
     assert a is not b
 
 
+def test_building_every_entry_parses_each_distinct_text_once(monkeypatch):
+    parsed = []
+
+    def recording_parse(text):
+        parsed.append(text)
+        return parse_expression(text)
+
+    monkeypatch.setattr(catalog, "_PARSED", {})
+    monkeypatch.setattr(catalog, "parse_expression", recording_parse)
+    for _ in range(2):
+        for name in catalog.names():
+            catalog.build(name)
+    assert sorted(parsed) == sorted(transcriptions()) == sorted(catalog._PARSED)
+
+
+def test_a_caller_that_changes_a_built_entry_changes_no_later_build():
+    for name in catalog.names():
+        catalog.build(name)
+    stored = {text: (p.den, dict(p.nums)) for text, p in catalog._PARSED.items()}
+    K = catalog.build("K2_3").expression
+    fresh = PhasePoly._wrap(K.den, dict(K.nums))
+    K.nums.clear()
+    K.den = 7
+    for component in catalog.build("Gamma_H").expression:
+        component.nums[(0,) * 7] = 1
+    assert catalog.build("K2_3").expression == fresh
+    assert catalog.build("X2").expression == hamiltonian_vf(fresh)
+    assert {text: (p.den, p.nums) for text, p in catalog._PARSED.items()} == stored
+
+
+def test_the_stored_values_hold_only_catalog_texts(capsys):
+    from holtkit.cli import main
+
+    assert main(["bracket", "K2_3", "x*px + 1/3*y"]) == 0
+    assert main(["catalog", "show", "U"]) == 0
+    capsys.readouterr()
+    assert set(catalog._PARSED) <= set(transcriptions())
+
+
 def test_building_every_entry_takes_no_kernel_product(monkeypatch):
     calls = []
     for layout in ("tuple", "packed"):
@@ -55,10 +102,8 @@ def test_building_every_entry_takes_no_kernel_product(monkeypatch):
 
 
 def test_each_transcription_is_stored_as_it_renders():
-    texts = [text for text, *_ in (*catalog._POTENTIALS.values(), *catalog._INTEGRALS.values())]
-    texts += [text for spec, _ in catalog._FIELDS.values() if not isinstance(spec, str)
-              for text in spec]
-    assert len(texts) == 7 + 9 + 4
+    texts = transcriptions()
+    assert len(texts) == len(set(texts)) == 7 + 9 + 4
     for text in texts:
         assert parse_expression(text).render() == text
     assert catalog.KINETIC.render() == "1/2*px^2 + 1/2*py^2"

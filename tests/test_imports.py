@@ -23,3 +23,5 @@ def test_importing_the_cli_loads_none_of_the_unwanted_modules():
                            text=True, check=True, timeout=60).stdout.split()
     assert "holtkit.cli" in added
     assert [m for m in UNWANTED if m in added] == []
+    # only `holtkit verify` runs the suite, so only it loads the suite's module
+    assert "holtkit.verify" not in added

@@ -175,7 +175,8 @@ def test_one_suite_hands_the_layouts_only_products_with_terms(monkeypatch):
 
         monkeypatch.setattr(ring, name, layout)
     assert verify.full_suite().all_passed
-    # 259 products before the ones with an empty derivative were dropped
-    assert len(handed) == 221
+    # 259 products before the ones with an empty derivative were dropped, and
+    # 221 before the claims' constant sides were built once at import
+    assert len(handed) == 197
     assert all(ring._varies(a, va[0]) if va else a for _, _, a, va, _, _ in handed)
     assert all(ring._varies(b, vb[0]) if vb else b for _, _, _, _, b, vb in handed)

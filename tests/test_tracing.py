@@ -37,7 +37,8 @@ def test_every_traced_name_resolves(tracing):
         assert callable(getattr(owner, attr, None)), (owner, attr, span)
 
 
-def test_a_tracer_installs_and_removes_cleanly(tracing):
+def test_a_tracer_installs_and_removes_cleanly(tracing, monkeypatch):
+    monkeypatch.setattr(catalog, "_PARSED", {})  # so no earlier test has parsed a text
     before = traced_attributes(tracing.TARGETS)
     tracer = tracing.Tracer()
     tracer.install()
@@ -48,14 +49,18 @@ def test_a_tracer_installs_and_removes_cleanly(tracing):
         K = catalog.build("K2_3").expression
         failure = verify.check_conserved(K, catalog.build("H_U").expression)
         square = K * K
+        first = tracer.layer_metrics()
+        catalog.build("K2_3"), catalog.build("H_U")
     finally:
         tracer.remove()
     assert failure is None and square == K**2
-    metrics = tracer.layer_metrics()
-    assert metrics["verify.check_calls"] == 1 and metrics["phasepoly.bracket_calls"] == 1
+    assert first["verify.check_calls"] == 1 and first["phasepoly.bracket_calls"] == 1
     # H_U is built from U, so three builds; K2_3 and U are parsed from their
     # text, and the kinetic term of H_U was parsed once at import
-    assert metrics["catalog.build_calls"] == 3 and metrics["parsing.parse_calls"] == 2
-    assert metrics["phasepoly.mul_calls"] == 1
+    assert first["catalog.build_calls"] == 3 and first["parsing.parse_calls"] == 2
+    assert first["phasepoly.mul_calls"] == 1
+    # the same builds again read both texts' stored values
+    metrics = tracer.layer_metrics()
+    assert metrics["catalog.build_calls"] == 6 and metrics["parsing.parse_calls"] == 2
     after = traced_attributes(tracing.TARGETS)
     assert [key for key in before if after[key] is not before[key]] == []

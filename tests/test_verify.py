@@ -3,11 +3,13 @@
 import gc
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import holtkit
 from holtkit import catalog, verify
+from holtkit.parsing import parse_expression
 from holtkit.phasepoly import K2, PX, X, PhasePoly, VectorField, poisson_bracket, upow
 
 EXPECTED_IDS = [
@@ -180,6 +182,37 @@ def test_one_suite_reads_every_catalog_name(monkeypatch):
     monkeypatch.setattr(catalog, "build", recording_build)
     assert verify.full_suite().all_passed
     assert sorted(read) == sorted(catalog.names())  # each name built once
+
+
+def test_an_override_suite_between_default_suites_changes_only_its_own_claims():
+    """Stored transcriptions and the claims' constant sides are shared by
+    every suite in a process, so an override reaches only the claims that
+    read it, and the next default suite reads the catalog as before."""
+    expected = (Path(__file__).resolve().parents[1] / "bench" / "verify_expected.txt").read_text()
+    for name in catalog.names():
+        catalog.build(name)
+    stored = {text: (p.den, dict(p.nums)) for text, p in catalog._PARSED.items()}
+    V = catalog.build("V_h1")._replace(expression=parse_expression("4*x^2*u^-2 + 2*u^4"))
+    K = catalog.build("K4_6")
+    K = K._replace(expression=K.expression + K2**3 * X)
+    # the claims that read an overridden entry, or H_V_h1 or X4, which are built from one
+    touched = {"V_h1", "H_V_h1", "K4_6", "X4"}
+    readers = set()
+    for id, _, _, _, operands in verify.CLAIMS:
+        read = set()
+        operands(lambda name: read.add(name) or catalog.build(name).expression)
+        if read & touched:
+            readers.add(id)
+    assert readers == {"conserved_J_h1_3", "limit_K4_6", "relation_K4_6", "bracket_K4_K2",
+                       "bracket_K4_K3", "commutator_X2_X4", "commutator_X3_X4",
+                       "closure_heisenberg_K4"}
+
+    first = verify.full_suite()
+    middle = verify.full_suite({"V_h1": V, "K4_6": K})
+    last = verify.full_suite()
+    assert first.render_text() == last.render_text() == expected
+    assert {c.id for c in middle.checks if not c.passed} == readers
+    assert {text: (p.den, p.nums) for text, p in catalog._PARSED.items()} == stored
 
 
 def test_a_suite_leaves_no_reference_cycle():
