@@ -143,6 +143,8 @@ def _write_out(path: str, text: str, parser: argparse.ArgumentParser) -> None:
 
 def _run_verify(args, parser) -> int:
     from . import verify  # only this command runs the suite; keep it out of the others' start-up
+    if args.out is not None:  # refuse an unwritable path before the suite runs and prints
+        _write_out(args.out, "", parser)
     report = verify.full_suite()
     sys.stdout.write(report.render_text())
     if args.out is not None:

@@ -21,6 +21,13 @@ to the token walker, which reads the whole grammar and writes every
 ParseError; the reader gives up on any text it does not take, so an error
 and its position always come from the walker.
 
+The reader takes each factor ("x^007", "y^2", "u^-0") through one
+FactorTable from factor text to (slot, exponent in the slot), filled on
+first use with the rule below and bounded by FACTOR_TABLE_BOUND entries; a
+factor that does not read is never stored.  Real texts repeat few factor
+texts many times, so nearly every factor is one lookup.  No whole text,
+term or row is kept.
+
 The names, and the exponent slot each one fills, come from phasepoly.SLOTS.
 """
 
@@ -28,12 +35,33 @@ from __future__ import annotations
 
 import re
 
-from .phasepoly import SLOTS, PhasePoly, Term
+from .phasepoly import SLOTS, FactorTable, PhasePoly, Term
 
 # longest names first: an alternation takes the first alternative that
 # matches.  A character that starts no symbol reads as the token "".
 _NAMES = "|".join(sorted(SLOTS, key=len, reverse=True))
 _TOKEN = re.compile(rf"\s*(?:({_NAMES}|\d+|[-+*/^])|\S)")
+
+
+def _read_factor(factor: str) -> tuple[int, int] | None:
+    """(slot, scale * exponent) of one canonical factor, or None: a name
+    of SLOTS, then '^' and digits, a '-' before them only on u.  Its caller
+    reads only ASCII text, so isdigit() means 0-9; int() raises ValueError past
+    sys.get_int_max_str_digits()."""
+    name, caret, power = factor.partition("^")
+    if name not in SLOTS:
+        return None
+    e = 1
+    if caret:
+        minus = name == "u" and power[:1] == "-"
+        if not power[minus:].isdigit():
+            return None
+        e = int(power)
+    slot, scale = SLOTS[name]
+    return slot, scale * e
+
+
+_FACTORS = FactorTable(_read_factor)
 
 
 class ParseError(ValueError):
@@ -75,17 +103,11 @@ def _read_canonical(text: str) -> list[tuple[tuple, int, int]] | None:
                     del factors[0]
                 exponents = [0] * len(Term._fields)
                 for factor in factors:
-                    name, caret, power = factor.partition("^")
-                    if name not in SLOTS:
+                    read = _FACTORS[factor]
+                    if read is None:
                         return None
-                    e = 1
-                    if caret:
-                        minus = name == "u" and power[:1] == "-"
-                        if not power[minus:].isdigit():
-                            return None
-                        e = int(power)
-                    slot, scale = SLOTS[name]
-                    exponents[slot] += scale * e
+                    slot, e = read
+                    exponents[slot] += e
                 rows.append((tuple(exponents), sign * n, d))
                 sign = 1
             sign = -1

@@ -81,8 +81,36 @@ _PARAM_SLOT = 4
 # default, while a power of that size still takes well under a second
 _SUBSTITUTION_BITS = 2**20
 
-# factor names in rendered order: parameters first, then Term slots 0-3
-_RENDER_NAMES = ("k1", "k2", "k3", "x", "u", "px", "py")
+# the most entries one factor table holds: past it a value is made on each
+# miss and not stored, so distinct input cannot grow a table without limit
+FACTOR_TABLE_BOUND = 256
+
+
+class FactorTable(dict):
+    """A dict filled on first use: a missing key's value is make(key),
+    stored while the table holds fewer than FACTOR_TABLE_BOUND entries and
+    never stored when it is None."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if value is not None and len(self) < FACTOR_TABLE_BOUND:
+            self[key] = value
+        return value
+
+
+def _factor_texts(name: str) -> FactorTable:
+    """Exponent -> rendered factor of one name: "x", "px^2", "u^-5"."""
+    return FactorTable(lambda e: name if e == 1 else f"{name}^{e}")
+
+
+# render's factor texts in rendered order: parameters first, then Term slots 0-3
+_RENDER_TABLES = tuple(map(_factor_texts, ("k1", "k2", "k3", "x", "u", "px", "py")))
 
 # float terms (c, ex, eu, epx, epy) of a polynomial at fixed parameters
 FloatTerms = tuple[tuple[float, int, int, int, int], ...]
@@ -121,11 +149,17 @@ class PhasePoly:
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[tuple, int, int]]) -> "PhasePoly":
         """The sum of (exponent tuple, numerator, denominator) rows, each
-        denominator positive; rows on one exponent tuple add up."""
+        denominator positive; rows on one exponent tuple add up.
+
+        The lcm and each row's scale den // d are taken once per distinct
+        denominator d, of which a parsed text has far fewer than rows.
+        """
         rows = list(rows)
+        dens = {d for _, _, d in rows}
         # reduce, not lcm(*...), whose argument tuple can stay on CPython's free lists
-        den = reduce(lcm, (d for _, _, d in rows), 1)
-        return cls._wrap(den, accumulate({}, ((k, n * (den // d)) for k, n, d in rows)))
+        den = reduce(lcm, dens, 1)
+        scales = {d: den // d for d in dens}
+        return cls._wrap(den, accumulate({}, ((k, n * scales[d]) for k, n, d in rows)))
 
     @classmethod
     def _wrap(cls, den: int, nums: dict) -> "PhasePoly":
@@ -339,25 +373,46 @@ class PhasePoly:
         """Canonical text form; deterministic and parseable.
 
         Terms are sorted momentum-first (epx, epy, ex, eu, then k1, k2, k3,
-        all descending), one rendered term per key.
+        all descending), one rendered term per key.  Each nonzero exponent's
+        factor text comes from its slot's FactorTable, and the terms are
+        joined once.
         """
         nums, den = self.nums, self.den
         if not nums:
             return "0"
-        text = ""
-        for t in sorted(nums, key=_SORT_KEY, reverse=True):
-            n, d = nums[t], den
+        k1s, k2s, k3s, xs, us, pxs, pys = _RENDER_TABLES
+        parts = []  # a sign, then its term's text, for each term
+        add = parts.append
+        for key in sorted(nums, key=_SORT_KEY, reverse=True):
+            ex, eu, epx, epy, k1, k2, k3 = key
+            n, d = nums[key], den
             if d != 1:  # a gcd with 1 is 1
                 g = gcd(n, d)
                 n, d = n // g, d // g
-            factors = [name if e == 1 else f"{name}^{e}"
-                       for name, e in zip(_RENDER_NAMES, t[4:] + t[:4]) if e]
+            add(" - " if n < 0 else " + ")
             if d != 1:
-                factors.insert(0, f"{abs(n)}/{d}")
-            elif not factors or (n != 1 and n != -1):
-                factors.insert(0, str(abs(n)))
-            text += f" {'-' if n < 0 else '+'} {'*'.join(factors)}"
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+                factors = [f"{abs(n)}/{d}"]
+            elif n != 1 and n != -1:
+                factors = [str(abs(n))]
+            else:
+                factors = []
+            if k1:
+                factors.append(k1s[k1])
+            if k2:
+                factors.append(k2s[k2])
+            if k3:
+                factors.append(k3s[k3])
+            if ex:
+                factors.append(xs[ex])
+            if eu:
+                factors.append(us[eu])
+            if epx:
+                factors.append(pxs[epx])
+            if epy:
+                factors.append(pys[epy])
+            add("*".join(factors) if factors else "1")
+        parts[0] = "" if parts[0] == " + " else "-"
+        return "".join(parts)
 
     def __str__(self) -> str:
         return self.render()

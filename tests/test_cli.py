@@ -486,8 +486,10 @@ def test_an_invariant_coefficient_folded_to_inf_is_not_an_exit_3(capsys):
     ("simulate", "--potential", "U", "--k2", "1", "--start", "0,1,0.5,0.5", "--t-end", "0.01"),
 ])
 def test_unwritable_out_is_an_argument_error(tmp_path, capsys, argv):
-    # an empty --out names no file either, and simulate never falls back to stdout;
-    # the path is quoted, so an empty one shows, and cut as other arguments are
+    # an empty --out names no file either, and neither command writes stdout
+    # first: verify refuses the path before its suite runs, and simulate never
+    # falls back to stdout; the path is quoted, so an empty one shows, and cut
+    # as other arguments are
     missing = str(tmp_path / "missing" / "out.txt")
     for path, shown in ((missing, cli._quoted(missing)), ("", "''")):
         with pytest.raises(SystemExit) as exc_info:
@@ -495,7 +497,7 @@ def test_unwritable_out_is_an_argument_error(tmp_path, capsys, argv):
         assert exc_info.value.code == 2
         out, err = capsys.readouterr()
         assert err == f"holtkit: error: cannot write --out {shown}: {os.strerror(errno.ENOENT)}\n"
-        assert argv[0] == "verify" or out == ""
+        assert out == ""
 
 
 def test_simulate_rejects_bad_start():

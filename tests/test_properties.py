@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from holtkit import catalog, dynamics, parsing
+from holtkit import catalog, dynamics, parsing, phasepoly
 from holtkit.dynamics import (
     DriftReport,
     InvariantDrift,
@@ -25,6 +25,7 @@ from holtkit.dynamics import (
 )
 from holtkit.parsing import ParseError, parse_expression
 from holtkit.phasepoly import (
+    FACTOR_TABLE_BOUND,
     PX,
     PY,
     SLOTS,
@@ -548,3 +549,68 @@ def test_catalog_text_and_a_ladder_bracket_never_reach_the_token_walker():
 def test_render_parse_round_trip(p):
     with _walker_off():
         assert parse_expression(p.render()) == p
+
+
+def _reference_render(p):
+    """The canonical text of p, term by term with f-strings and no table:
+    the renderer PhasePoly.render must match byte for byte."""
+    if not p.nums:
+        return "0"
+    text = ""
+    for t in sorted(p.nums, key=Term.sort_key, reverse=True):
+        n, d = p.nums[t], p.den
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(("k1", "k2", "k3", "x", "u", "px", "py"), t[4:] + t[:4])
+                   if e]
+        if d != 1:
+            factors.insert(0, f"{abs(n)}/{d}")
+        elif not factors or (n != 1 and n != -1):
+            factors.insert(0, str(abs(n)))
+        text += f" {'-' if n < 0 else '+'} {'*'.join(factors)}"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+# one exponent per slot past the bound, and u's below minus it
+_PAST = FACTOR_TABLE_BOUND + 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(phase_polys, parametric_polys))
+@example(Fraction(-3, 4) * X**2 * upow(-5) + Fraction(5, 6) * PX * PY**3)  # a denominator
+@example(PhasePoly({Term(k2=1): -1, Term(1, 0, 0, 1): 1, Term(0, -1): -1}))  # coefficients +-1
+@example(PhasePoly.constant(-1) + X)  # the constant term, after a first term
+@example(Fraction(-1, 3) * X + 1)  # a constant whose own denominator reduces to 1
+@example(PhasePoly.constant(Fraction(-7, 2)))  # the constant term alone
+@example(upow(-1) - 2 * upow(-12) * PX + Y)  # negative u exponents
+@example(PhasePoly({Term(_PAST, -_PAST, _PAST, _PAST, _PAST, _PAST, _PAST): 9,
+                    Term(1, -1, 0, 1): Fraction(1, 2)}))  # past the table bound
+def test_render_matches_the_term_by_term_reference(p):
+    assert p.render() == _reference_render(p)
+
+
+def test_the_factor_tables_stop_at_their_bound():
+    """Texts with more distinct exponents in every slot than a table
+    holds: each render table and the reader's table stop at the bound,
+    yet the text still matches the reference and the rows the walker's."""
+    many = range(1, _PAST + 1)
+    p = PhasePoly({Term(e, -e, e, e, e, e, e): e for e in many})
+    q = PhasePoly({Term(0, e, 0, 0, 0, e): Fraction(1, e) for e in many})
+    for _ in range(2):  # the second pass finds every table full
+        for poly in (p, q):
+            text = poly.render()
+            assert text == _reference_render(poly)
+            rows = parsing._read_canonical(text)
+            assert rows == parsing._walk(text)
+            assert parse_expression(text) == poly
+        assert [len(t) for t in phasepoly._RENDER_TABLES] == [FACTOR_TABLE_BOUND] * 7
+        assert len(parsing._FACTORS) == FACTOR_TABLE_BOUND
+
+
+def test_a_factor_that_does_not_read_is_not_stored():
+    table = phasepoly.FactorTable(parsing._read_factor)
+    for bad in ("x^-1", "z^2", "y^-3", "u^", "px^-"):
+        assert table[bad] is None
+    assert (table["y^2"], table["u^-0"], table["x^007"]) == ((1, 6), (1, 0), (0, 7))
+    assert list(table) == ["y^2", "u^-0", "x^007"]
