@@ -155,7 +155,6 @@ def _run_verify(args, parser) -> int:
 def _run_bracket(args, parser) -> int:
     f = _resolve_expression(args.first, parser)
     g = _resolve_expression(args.second, parser)
-    result = poisson_bracket(f, g)
     subs = {}
     for k in ("k1", "k2", "k3"):
         raw = getattr(args, k)
@@ -167,6 +166,7 @@ def _run_bracket(args, parser) -> int:
                 subs[k] = Fraction(raw)
             except (ValueError, ZeroDivisionError):
                 parser.error(f"--{k} must be an integer or p/q, got {raw!r}")
+    result = poisson_bracket(f, g)
     at = ", ".join(f"--{k} {getattr(args, k)!r}" for k in subs)
     too_long = (f"the bracket of {args.first!r} and {args.second!r}"
                 f"{' at ' + at if at else ''} has a coefficient too long to print")

@@ -105,8 +105,9 @@ class FactorTable(dict):
 
 
 def _factor_texts(name: str) -> FactorTable:
-    """Exponent -> rendered factor of one name: "x", "px^2", "u^-5"."""
-    return FactorTable(lambda e: name if e == 1 else f"{name}^{e}")
+    """Exponent -> rendered factor of one name, with its leading "*": "*x",
+    "*px^2", "*u^-5", and "" for exponent 0."""
+    return FactorTable(lambda e: "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}")
 
 
 # render's factor texts in rendered order: parameters first, then Term slots 0-3
@@ -149,17 +150,12 @@ class PhasePoly:
     @classmethod
     def _from_rows(cls, rows: Iterable[tuple[tuple, int, int]]) -> "PhasePoly":
         """The sum of (exponent tuple, numerator, denominator) rows, each
-        denominator positive; rows on one exponent tuple add up.
-
-        The lcm and each row's scale den // d are taken once per distinct
-        denominator d, of which a parsed text has far fewer than rows.
-        """
+        denominator positive, over the lcm of the denominators; rows on one
+        exponent tuple add up."""
         rows = list(rows)
-        dens = {d for _, _, d in rows}
         # reduce, not lcm(*...), whose argument tuple can stay on CPython's free lists
-        den = reduce(lcm, dens, 1)
-        scales = {d: den // d for d in dens}
-        return cls._wrap(den, accumulate({}, ((k, n * scales[d]) for k, n, d in rows)))
+        den = reduce(lcm, (d for _, _, d in rows), 1)
+        return cls._wrap(den, accumulate({}, ((k, n * (den // d)) for k, n, d in rows)))
 
     @classmethod
     def _wrap(cls, den: int, nums: dict) -> "PhasePoly":
@@ -373,9 +369,10 @@ class PhasePoly:
         """Canonical text form; deterministic and parseable.
 
         Terms are sorted momentum-first (epx, epy, ex, eu, then k1, k2, k3,
-        all descending), one rendered term per key.  Each nonzero exponent's
-        factor text comes from its slot's FactorTable, and the terms are
-        joined once.
+        all descending), one rendered term per key.  A term's factors are
+        one concatenation of its slots' FactorTable texts, each carrying its
+        own leading "*"; that "*" goes only when no coefficient is written.
+        The terms are joined once.
         """
         nums, den = self.nums, self.den
         if not nums:
@@ -390,27 +387,13 @@ class PhasePoly:
                 g = gcd(n, d)
                 n, d = n // g, d // g
             add(" - " if n < 0 else " + ")
+            factors = k1s[k1] + k2s[k2] + k3s[k3] + xs[ex] + us[eu] + pxs[epx] + pys[epy]
             if d != 1:
-                factors = [f"{abs(n)}/{d}"]
+                add(f"{abs(n)}/{d}{factors}")
             elif n != 1 and n != -1:
-                factors = [str(abs(n))]
+                add(f"{abs(n)}{factors}")
             else:
-                factors = []
-            if k1:
-                factors.append(k1s[k1])
-            if k2:
-                factors.append(k2s[k2])
-            if k3:
-                factors.append(k3s[k3])
-            if ex:
-                factors.append(xs[ex])
-            if eu:
-                factors.append(us[eu])
-            if epx:
-                factors.append(pxs[epx])
-            if epy:
-                factors.append(pys[epy])
-            add("*".join(factors) if factors else "1")
+                add(factors[1:] or "1")
         parts[0] = "" if parts[0] == " + " else "-"
         return "".join(parts)
 

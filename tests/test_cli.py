@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -89,6 +90,25 @@ def test_bracket_rejects_exponent_notation_at_once(capsys, value):
     assert exits == [2]
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"holtkit: error: --k2 must be an integer or p/q, got {value!r}"
+
+
+def test_bracket_checks_its_parameters_before_computing_the_bracket(capsys):
+    with mock.patch.object(cli, "poisson_bracket", wraps=cli.poisson_bracket) as spy:
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bracket", "K3_4", "K2_3", "--k2", "bogus"])
+        assert exc_info.value.code == 2
+        assert spy.call_count == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "holtkit: error: --k2 must be an integer or p/q, got 'bogus'")
+        # an expression error is still reported ahead of a parameter error
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bracket", "x + $", "x", "--k2", "bogus"])
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "holtkit: error: cannot parse 'x + $': unexpected character '$' at position 4: '$'")
+        assert spy.call_count == 0
+        assert run(capsys, "bracket", "K3_4", "K2_3", "--k2", "1/3") == (0, "4\n", "")
+        assert spy.call_count == 1
 
 
 def test_bracket_whose_coefficient_is_too_long_to_print_exits_2(capsys):

@@ -580,6 +580,8 @@ _PAST = FACTOR_TABLE_BOUND + 3
 @given(st.one_of(phase_polys, parametric_polys))
 @example(Fraction(-3, 4) * X**2 * upow(-5) + Fraction(5, 6) * PX * PY**3)  # a denominator
 @example(PhasePoly({Term(k2=1): -1, Term(1, 0, 0, 1): 1, Term(0, -1): -1}))  # coefficients +-1
+@example(PhasePoly({Term(1, k2=1): -1}))  # -1 before a parameter factor: -k2*x
+@example(PhasePoly({Term(2, -3, 1, 4, 1, 2, 3): 1}))  # a coefficient of 1, every slot nonzero
 @example(PhasePoly.constant(-1) + X)  # the constant term, after a first term
 @example(Fraction(-1, 3) * X + 1)  # a constant whose own denominator reduces to 1
 @example(PhasePoly.constant(Fraction(-7, 2)))  # the constant term alone
