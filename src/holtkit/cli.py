@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -85,17 +86,25 @@ def _quoted(text: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose error messages cut every over-long argument of
-    its own command line as _quoted does.
+    """An ArgumentParser that reads every argument starting with '-' and a
+    digit or '.' as a value, and whose error messages cut every over-long
+    argument of its own command line as _quoted does.
 
-    argparse quotes a rejected value, choice or unrecognized argument in
-    full, and its wording differs between Python versions, so the cut
-    replaces the argument's repr, or else its bare text, wherever the
-    message holds it.  A message without a long argument is left as
-    argparse wrote it.
+    argparse reads such an argument as an option name unless it is a plain
+    negative number, so --k2 -1/3, --h -1e-3 and the expression -1/2*x
+    would not parse; no holtkit option is spelled that way.  argparse
+    quotes a rejected value, choice or unrecognized argument in full, and
+    its wording differs between Python versions, so the cut replaces the
+    argument's repr, or else its bare text, wherever the message holds it.
+    A message without a long argument is left as argparse wrote it.
+    Subparsers are built with this class, so they read values alike.
     """
 
     _long: list[str] = []  # the long arguments, longest first
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)

@@ -157,16 +157,6 @@ def _packed_products(products: Products, den: int) -> dict[tuple, int]:
     return dict(zip(zip(*slots), [sums[k] for k in keys]))
 
 
-def _varies(terms: Iterable[tuple[tuple, int]], slot: int) -> bool:
-    """Whether a term has a nonzero exponent in the slot, so that the
-    derivative along it has a term; a plain loop, as a generator costs
-    about what the product it drops would."""
-    for k, _ in terms:
-        if k[slot]:
-            return True
-    return False
-
-
 def sum_of_products(triples: Iterable[tuple[int, tuple, tuple]]
                     ) -> tuple[int, dict[tuple, int]]:
     """The sum of sign * a * b over (sign, a, b) triples, exactly, as
@@ -176,20 +166,20 @@ def sum_of_products(triples: Iterable[tuple[int, tuple, tuple]]
     denominator, as a PhasePoly stores its terms, and the (slot, scale) of
     a derivative to take of them by PhasePoly.diff's rule, or None.  Every
     pair of every product accumulates into one integer dict over one common
-    denominator.  A product with no terms, the derivative it asks for
-    included, is dropped before its denominator and pairs count.  A term
-    that cancels is left out.  Exponents are added as packed integer keys
-    when the operands' own products have more than _PACK_RATIO pairs per
-    operand term, as tuples otherwise.
+    denominator, the lcm of every product's.  Each layout's derivative step
+    leaves out the terms whose exponent in its slot is 0, so a product whose
+    derivative is empty adds no term; a term that cancels is left out.
+    Exponents are added as packed integer keys when the operands' own
+    products have more than _PACK_RATIO pairs per operand term, as tuples
+    otherwise.
     """
     products, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
     for sign, ((da, a), va), ((db, b), vb) in triples:
-        if (_varies(a, va[0]) if va else a) and (_varies(b, vb[0]) if vb else b):
-            la, lb = len(a), len(b)
-            d = da * db * (va[1] if va else 1) * (vb[1] if vb else 1)
-            products.append((sign, d, a, va, b, vb))
-            den = lcm(den, d)
-            excess += la * lb - _PACK_RATIO * (la + lb)
+        la, lb = len(a), len(b)
+        d = da * db * (va[1] if va else 1) * (vb[1] if vb else 1)
+        products.append((sign, d, a, va, b, vb))
+        den = lcm(den, d)
+        excess += la * lb - _PACK_RATIO * (la + lb)
     return den, (_packed_products if excess > 0 else _tuple_products)(products, den)
 
 

@@ -97,7 +97,8 @@ def check_lie_closure(basis: Mapping[str, PhasePoly],
     Each unordered pair must be claimed in exactly one orientation (the
     other is implied by antisymmetry).  A missing pair, a pair claimed both
     ways, or a claim naming an element outside the basis is an error, not a
-    failure.  Self-brackets default to the forced zero.
+    failure.  An unclaimed self-bracket is zero by antisymmetry, so it is
+    not computed; a claimed one is checked like any other pair.
     """
     if not basis:
         raise ValueError("basis must be nonempty")
@@ -110,12 +111,12 @@ def check_lie_closure(basis: Mapping[str, PhasePoly],
     failures = []
     for i, na in enumerate(names):
         for nb in names[i:]:
-            if na == nb:
-                claimed = claimed_brackets.get((na, nb), PhasePoly.zero())
-            elif (na, nb) in claimed_brackets:
+            if (na, nb) in claimed_brackets:
                 claimed = claimed_brackets[(na, nb)]
             elif (nb, na) in claimed_brackets:
                 claimed = -claimed_brackets[(nb, na)]
+            elif na == nb:
+                continue  # zero by antisymmetry
             else:
                 raise KeyError(f"no claimed bracket for pair ({na}, {nb})")
             failure = _failure(poisson_bracket(basis[na], basis[nb]) - claimed)

@@ -312,6 +312,44 @@ def test_a_short_argument_argparse_rejects_keeps_its_stderr(capsys, monkeypatch,
     assert err == stderr_of(capsys, argv)
 
 
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of a call that returns or exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SHORT_SIM = ("simulate", "--potential", "U", "--start", "0,1,0.5,0.5",
+             "--t-end", "0.002", "--h", "0.001")
+
+
+# values that argparse on its own reads as option names, each given after
+# its option (a later option overrides the one in SHORT_SIM)
+@pytest.mark.parametrize("argv", [
+    *((*SHORT_SIM, option, "-1e-3")
+      for option in ("--h", "--t-end", "--y-min", "--k1", "--k2", "--k3")),
+    (*SHORT_SIM, "--start", "-0.005,1,0.5,0.5"),
+    *(("bracket", f"{k}^5*x", "px", f"--{k}", "-1/3") for k in ("k1", "k2", "k3")),
+    ("bracket", "x", "px", "--k1", "-1e5"),
+], ids=lambda argv: " ".join(argv[-2:]) if argv[0] == "simulate" else " ".join(argv[1:]))
+def test_a_negative_value_after_its_option_reads_as_its_equals_form(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    *head, option, value = argv
+    assert outcome(capsys, argv) == outcome(capsys, [*head, f"{option}={value}"])
+
+
+def test_an_argument_of_minus_and_a_digit_is_a_value_and_minus_a_letter_needs_a_double_dash(
+        capsys):
+    assert run(capsys, "bracket", "k2^5*x", "px", "--k2", "-1/3") == (0, "-1/243\n", "")
+    assert run(capsys, "bracket", "-1/2*x", "px") == (0, "-1/2\n", "")
+    assert run(capsys, "bracket", "--", "-x", "px") == (0, "-1\n", "")
+    assert stderr_of(capsys, ["bracket", "-x", "px"]).endswith(
+        "error: the following arguments are required: second\n")
+
+
 def test_catalog_show(capsys):
     code, out, _ = run(capsys, "catalog", "show", "U")
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 
 import holtkit
 from holtkit import ring
-from holtkit.phasepoly import K1, K2, K3, PhasePoly, Term
+from holtkit.phasepoly import K1, K2, K3, X, PhasePoly, Term
 
 ONE = PhasePoly.constant(1)
 ZERO = PhasePoly.zero()
@@ -153,30 +153,22 @@ def test_both_key_layouts_take_the_same_derivatives_of_each_factor(monkeypatch):
     assert PhasePoly._wrap(*sums[0]) == expected and not expected.is_zero
 
 
-def test_a_product_whose_derivative_has_no_terms_is_dropped():
-    # the slot-1 derivative of x / 7 has no terms, so neither its 7 nor the
-    # slot's scale 3 enters the common denominator
+def test_a_product_whose_derivative_has_no_terms_adds_no_term(monkeypatch):
+    # the slot-1 derivative of x / 7 has no terms, so its product adds none
+    # in either key layout, though its denominator enters the common one
     x_over_7 = (7, [((1, 0, 0, 0, 0, 0, 0), 1)])
     plus = ((2, [((1, 0, 0, 0, 0, 0, 0), 2), ((0, 0, 0, 0, 0, 0, 0), 1)]), None)
-    assert ring.sum_of_products([(1, (x_over_7, (1, 3)), plus)]) == (1, {})
-    assert ring.sum_of_products([(1, plus, (x_over_7, (1, 3))),
-                                 (1, (x_over_7, (0, 1)), plus)]) == (
-        14, {(1, 0, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, 0, 0): 1})
-
-
-def test_one_suite_hands_the_layouts_only_products_with_terms(monkeypatch):
-    from holtkit import verify
-
-    handed = []
+    expected = (2 * X + 1) * Fraction(1, 14)
+    layouts = []
     for name in ("_tuple_products", "_packed_products"):
-        def layout(products, den, real=getattr(ring, name)):
-            handed.extend(products)
+        def layout(products, den, real=getattr(ring, name), name=name):
+            layouts.append(name)
             return real(products, den)
 
         monkeypatch.setattr(ring, name, layout)
-    assert verify.full_suite().all_passed
-    # 259 products before the ones with an empty derivative were dropped, and
-    # 221 before the claims' constant sides were built once at import
-    assert len(handed) == 197
-    assert all(ring._varies(a, va[0]) if va else a for _, _, a, va, _, _ in handed)
-    assert all(ring._varies(b, vb[0]) if vb else b for _, _, _, _, b, vb in handed)
+    for ratio in (10**6, -1):  # every product on tuple keys, then on packed ones
+        monkeypatch.setattr(ring, "_PACK_RATIO", ratio)
+        assert PhasePoly._wrap(*ring.sum_of_products([(1, (x_over_7, (1, 3)), plus)])) == ZERO
+        assert PhasePoly._wrap(*ring.sum_of_products([(1, plus, (x_over_7, (1, 3))),
+                                                      (1, (x_over_7, (0, 1)), plus)])) == expected
+    assert layouts == ["_tuple_products"] * 2 + ["_packed_products"] * 2

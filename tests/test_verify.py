@@ -114,8 +114,24 @@ def test_lie_closure_uses_antisymmetry_for_reversed_claims():
 
 
 def test_lie_closure_names_every_pair_that_is_off():
-    failure = verify.check_lie_closure({"x": X, "px": PX}, {("px", "x"): 1, ("x", "x"): X})
+    # a claimed self-bracket is checked: {x, x} = 0 is off from x, {px, px} is not from 0
+    claimed = {("px", "x"): 1, ("x", "x"): X, ("px", "px"): 0}
+    failure = verify.check_lie_closure({"x": X, "px": PX}, claimed)
     assert failure == "{x, x} off by -x; {x, px} off by 2"
+
+
+def test_the_suite_brackets_no_element_with_itself(monkeypatch):
+    """An unclaimed self-bracket is zero by antisymmetry, so the closure
+    checks take none."""
+    operands = []
+
+    def recording_bracket(f, g):
+        operands.append((f, g))
+        return poisson_bracket(f, g)
+
+    monkeypatch.setattr(verify, "poisson_bracket", recording_bracket)
+    assert verify.full_suite().all_passed
+    assert len(operands) == 26 and not [f for f, g in operands if f is g]
 
 
 def test_full_suite_is_the_only_clock(report):
