@@ -18,7 +18,6 @@ from .phasepoly import (
     Y,
     hamiltonian_vf,
     poisson_bracket,
-    upow,
     vf_commutator,
 )
 from .parsing import ParseError, parse_expression
@@ -38,7 +37,6 @@ __all__ = [
     "Y",
     "hamiltonian_vf",
     "poisson_bracket",
-    "upow",
     "vf_commutator",
     "ParseError",
     "parse_expression",

@@ -63,9 +63,6 @@ class Term(NamedTuple):
     k2: int = 0
     k3: int = 0
 
-    def sort_key(self):
-        return _SORT_KEY(self)
-
 
 # name -> (Term slot, scale): the exponent e of a name is scale * e in its
 # slot, so y is u^3.  Parameters k1-k3 fill slots 4-6 and are never

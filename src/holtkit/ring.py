@@ -78,31 +78,28 @@ def _tuple_products(products: Products, den: int) -> dict[tuple, int]:
 
     Keys are unpacked into their seven exponents, which adds a pair's keys
     in about 80 ns against 350 ns for a map over them (Python 3.11.7).  A
-    derivative keeps its factor's keys (see _scaled), and each left term
-    takes the product's key shift, minus the scale in each differentiated
-    slot, once.
+    derivative keeps its factor's keys (see _scaled), and each left term's
+    phase exponents (slots 0-3) take the product's key shift, minus the
+    scale in each differentiated slot, once.
     """
     sums: dict[tuple, int] = {}
     get = sums.get
     for sign, d, a, va, b, vb in products:
         factor = sign * (den // d)
-        shift = [0] * 7
+        shift = [0] * 4
         if va:
             a = _scaled(a, va[0])
             shift[va[0]] -= va[1]
         if vb:
             b = _scaled(b, vb[0])
             shift[vb[0]] -= vb[1]
-        s0, s1, s2, s3, s4, s5, s6 = shift
+        s0, s1, s2, s3 = shift
         for (a0, a1, a2, a3, a4, a5, a6), na in a:
             na *= factor
             a0 += s0
             a1 += s1
             a2 += s2
             a3 += s3
-            a4 += s4
-            a5 += s5
-            a6 += s6
             for (b0, b1, b2, b3, b4, b5, b6), nb in b:
                 key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6)
                 sums[key] = get(key, 0) + na * nb
@@ -164,14 +161,14 @@ def sum_of_products(triples: Iterable[tuple[int, tuple, tuple]]
 
     Each factor is (operand, direction): integer numerators over a
     denominator, as a PhasePoly stores its terms, and the (slot, scale) of
-    a derivative to take of them by PhasePoly.diff's rule, or None.  Every
-    pair of every product accumulates into one integer dict over one common
-    denominator, the lcm of every product's.  Each layout's derivative step
-    leaves out the terms whose exponent in its slot is 0, so a product whose
-    derivative is empty adds no term; a term that cancels is left out.
-    Exponents are added as packed integer keys when the operands' own
-    products have more than _PACK_RATIO pairs per operand term, as tuples
-    otherwise.
+    a derivative along x, u, px or py (never a parameter) to take of them by
+    PhasePoly.diff's rule, or None.  Every pair of every product accumulates
+    into one integer dict over one common denominator, the lcm of every
+    product's.  Each layout's derivative step leaves out the terms whose
+    exponent in its slot is 0, so a product whose derivative is empty adds
+    no term; a term that cancels is left out.  Exponents are added as packed
+    integer keys when the operands' own products have more than _PACK_RATIO
+    pairs per operand term, as tuples otherwise.
     """
     products, den, excess = [], 1, 0  # excess: pairs - _PACK_RATIO * operand terms
     for sign, ((da, a), va), ((db, b), vb) in triples:

@@ -18,7 +18,7 @@ from holtkit.dynamics import (
     convergence_order,
     integrate,
 )
-from holtkit.phasepoly import PhasePoly, Term, poisson_bracket
+from holtkit.phasepoly import _SORT_KEY, PhasePoly, Term, poisson_bracket
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +187,7 @@ def test_10_numeric_corroboration():
 def test_11_fault_injection_on_cubic_integral():
     entry = catalog.build("K2_3")
     terms = entry.expression.terms
-    monos = sorted(terms, key=lambda m: m.sort_key(), reverse=True)
+    monos = sorted(terms, key=_SORT_KEY, reverse=True)
     ok = len(monos) == 5
     for mono in monos:
         flipped = dict(terms)

@@ -59,6 +59,8 @@ def test_a_sum_reduces_and_leaves_its_operands_as_they_were():
     # denominators of 1, where no numerator is scaled
     h = X + PX
     assert h - PX == X and h + (-X) == PX and -PX + h == X
+    # a scalar minus a polynomial
+    assert 3 - X == -(X - 3) and half - X * PX == -(X * PX - half)
     assert (f.den, f.nums) == (2, {Term(ex=1): 1, Term(epx=1): 1})
     assert (h.den, h.nums) == (1, {Term(ex=1): 1, Term(epx=1): 1})
 
@@ -189,13 +191,23 @@ def test_ladder_brackets_render_as_captured():
     assert "".join(f"{line}\n" for line in lines) == golden
 
 
-def test_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        PX ** -1
+POWERS = {"k1^-1": (K1, -1, ValueError), "px^-1": (PX, -1, ValueError), "x^0": (X, 0, 1),
+          "zero^0": (PhasePoly.zero(), 0, 1),
+          "K2_3^0": (catalog.build("K2_3").expression, 0, 1)}
+
+
+@pytest.mark.parametrize("base, exponent, power", POWERS.values(), ids=POWERS)
+def test_pow_is_1_at_exponent_0_and_refuses_a_negative_one(base, exponent, power):
+    if power is ValueError:
+        with pytest.raises(ValueError):
+            base ** exponent
+    else:
+        assert base ** exponent == PhasePoly.constant(power)
 
 
 def test_momentum_order():
     assert (2 * PX**3 + X * PY).momentum_order == 3
+    assert (PX * PY**2).momentum_order == (PY**3).momentum_order == 3
     assert X.momentum_order == 0
     assert PhasePoly.zero().momentum_order == 0
 

@@ -557,7 +557,7 @@ def _reference_render(p):
     if not p.nums:
         return "0"
     text = ""
-    for t in sorted(p.nums, key=Term.sort_key, reverse=True):
+    for t in sorted(p.nums, key=phasepoly._SORT_KEY, reverse=True):
         n, d = p.nums[t], p.den
         g = gcd(n, d)
         n, d = n // g, d // g

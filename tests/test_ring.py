@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import holtkit
-from holtkit import ring
-from holtkit.phasepoly import K1, K2, K3, X, PhasePoly, Term
+from holtkit import catalog, ring, verify
+from holtkit.phasepoly import K1, K2, K3, X, PhasePoly, Term, poisson_bracket
 
 ONE = PhasePoly.constant(1)
 ZERO = PhasePoly.zero()
@@ -49,11 +49,6 @@ def test_arithmetic_is_exact():
 def test_subtraction_cancels_to_zero():
     p = 108 * K2**3
     assert (p - p).is_zero
-
-
-def test_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        K1 ** -1
 
 
 def test_evaluate():
@@ -172,3 +167,21 @@ def test_a_product_whose_derivative_has_no_terms_adds_no_term(monkeypatch):
         assert PhasePoly._wrap(*ring.sum_of_products([(1, plus, (x_over_7, (1, 3))),
                                                       (1, (x_over_7, (0, 1)), plus)])) == expected
     assert layouts == ["_tuple_products"] * 2 + ["_packed_products"] * 2
+
+
+def test_every_direction_either_layout_takes_names_a_phase_slot(monkeypatch):
+    """The tuple layout shifts only slots 0-3 (x, u, px, py) of a left term:
+    the paper suite and a ladder rung that packs, {K3_4^2, K2_3^2}, hand
+    either layout no derivative along a parameter slot."""
+    directions = {}
+    for name in ("_tuple_products", "_packed_products"):
+        def layout(products, den, real=getattr(ring, name), name=name):
+            directions.setdefault(name, []).extend(v for p in products for v in (p[3], p[5]) if v)
+            return real(products, den)
+
+        monkeypatch.setattr(ring, name, layout)
+    assert verify.full_suite().all_passed
+    A, B = catalog.build("K3_4").expression, catalog.build("K2_3").expression
+    poisson_bracket(A**2, B**2)
+    assert set(directions) == {"_tuple_products", "_packed_products"}
+    assert all(seen and all(slot < 4 for slot, _ in seen) for seen in directions.values())

@@ -10,7 +10,7 @@ import pytest
 import holtkit
 from holtkit import catalog, verify
 from holtkit.parsing import parse_expression
-from holtkit.phasepoly import K2, PX, X, PhasePoly, VectorField, poisson_bracket, upow
+from holtkit.phasepoly import _SORT_KEY, K2, PX, X, PhasePoly, VectorField, poisson_bracket, upow
 
 EXPECTED_IDS = [
     "conserved_J_h1_3", "conserved_J_h1_3_k",
@@ -142,7 +142,7 @@ def test_full_suite_is_the_only_clock(report):
 
 
 def _flip_term(poly, index):
-    monos = sorted(poly.terms, key=lambda m: m.sort_key(), reverse=True)
+    monos = sorted(poly.terms, key=_SORT_KEY, reverse=True)
     target = monos[index]
     flipped = dict(poly.terms)
     flipped[target] = -flipped[target]
@@ -285,7 +285,7 @@ POTENTIALS = [n for n in catalog.names() if catalog.build(n).kind == "potential"
 def _potential_mutants():
     for name in POTENTIALS:
         terms = catalog.build(name).expression.terms
-        for index, t in enumerate(sorted(terms, key=lambda m: m.sort_key())):
+        for index, t in enumerate(sorted(terms, key=_SORT_KEY)):
             for label, mutate in MUTATIONS.items():
                 yield f"{name}-{index}-{label}", name, PhasePoly(mutate(terms, t))
 
