@@ -14,7 +14,6 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import catalog
 from .dynamics import (
@@ -168,6 +167,7 @@ def _run_bracket(args, parser) -> int:
     for k in ("k1", "k2", "k3"):
         raw = getattr(args, k)
         if raw is not None:
+            from fractions import Fraction  # only a --k* value loads it; keep it out of start-up
             try:
                 # Fraction reads "1e99999999" by computing 10**99999999
                 if "e" in raw or "E" in raw:

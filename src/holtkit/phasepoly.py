@@ -13,8 +13,11 @@ exponents (x, u, px, py, k1, k2, k3) to a nonzero integer numerator, in
 lowest terms, so that gcd(den, *nums.values()) == 1 and zero is (1, {}).
 Fractions and Terms appear only at the edges: the constructor's keys and
 coefficients, substitute_params' values, and the terms mapping, built on
-access.  The couplings k1, k2, k3 are never differentiated, so equality to
-zero stays decidable and every identity check here is a proof.
+access.  So does the fractions module: the terms mapping imports it, and
+every other edge accepts a Fraction only once a caller has loaded it, so
+importing, building, verifying and simulating never load it.  The
+couplings k1, k2, k3 are never differentiated, so equality to zero stays
+decidable and every identity check here is a proof.
 
 Floats appear only in numeric evaluation: _fold turns a polynomial at
 fixed parameters into float terms, and compile returns a plain loop over
@@ -32,13 +35,16 @@ to +108 k2^3, matching the sign the catalog transcriptions assume.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import reduce
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .ring import Scalar, Scaled, accumulate, sum_of_products
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -114,8 +120,18 @@ _RENDER_TABLES = tuple(map(_factor_texts, ("k1", "k2", "k3", "x", "u", "px", "py
 FloatTerms = tuple[tuple[float, int, int, int, int], ...]
 
 
+def _exact(value) -> bool:
+    """Whether value is an int or a Fraction.  A Fraction exists only once
+    the fractions module is loaded, so the module is looked up, never
+    imported: an operand that is neither costs no import."""
+    if isinstance(value, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
 def _frac(value) -> Scalar:
-    if isinstance(value, (int, Fraction)):
+    if _exact(value):
         return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -171,6 +187,8 @@ class PhasePoly:
     @property
     def terms(self) -> dict[Term, Fraction]:
         """Term -> Fraction coefficient, a new dict on each access."""
+        from fractions import Fraction  # the one edge that makes a Fraction itself
+
         den = self.den
         return {Term._make(k): Fraction(n, den) for k, n in self.nums.items()}
 
@@ -202,7 +220,7 @@ class PhasePoly:
     def _coerce(self, other) -> "PhasePoly | None":
         if isinstance(other, PhasePoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _exact(other):
             return PhasePoly.constant(other)
         return None
 
@@ -465,7 +483,7 @@ class VectorField(NamedTuple):
         return VectorField(*(a - b for a, b in zip(self, other)))
 
     def __mul__(self, scalar) -> "VectorField":
-        if not isinstance(scalar, (PhasePoly, int, Fraction)):
+        if not (isinstance(scalar, PhasePoly) or _exact(scalar)):
             return NotImplemented
         return VectorField(*(c * scalar for c in self))
 

@@ -24,13 +24,17 @@ in slots that hold every exponent of the operands and their derivatives.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
-from typing import Collection, Hashable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Optional, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# an exact rational; "Fraction" is a forward reference, so that importing
+# the package does not load the fractions module (see phasepoly._exact)
+Scalar = Union[int, "Fraction"]
 
 
 def accumulate(out: dict, pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:

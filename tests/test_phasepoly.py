@@ -492,11 +492,39 @@ GAMMA_H = catalog.build("Gamma_H").expression
     lambda: PhasePoly({(1.5, 0, 0, 0, 0, 0, 0): 1}),
     lambda: PhasePoly({Term(ex=2.0): 1}),
     lambda: PhasePoly({Term(ex=Fraction(2)): 1}),
+    lambda: X * 1.5,
 ], ids=["constructor", "add", "radd", "sub", "rsub", "rmul", "field-sub-int", "field-mul",
-        "exponent-1.5", "exponent-2.0", "exponent-Fraction(2)"])
+        "exponent-1.5", "exponent-2.0", "exponent-Fraction(2)", "mul"])
 def test_no_float_enters_the_exact_ring(make):
     with pytest.raises(TypeError):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PhasePoly.constant(1.5),
+    lambda: (K2 * X).substitute_params(k2=0.5),
+], ids=["constant", "substitute"])
+def test_a_float_coefficient_is_refused_by_name(make):
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        make()
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: X * Fraction(1, 2), "1/2*x"),
+    (lambda: Fraction(1, 2) * X, "1/2*x"),
+    (lambda: PhasePoly.constant(Fraction(3, 6)), "1/2"),
+    (lambda: (K2 * X).substitute_params(k2=Fraction(1, 3)), "1/3*x"),
+    (lambda: VectorField(X, PX, -X, PhasePoly.zero()) * Fraction(1, 2),
+     "dx/dt = 1/2*x; dy/dt = 1/2*px; dpx/dt = -1/2*x; dpy/dt = 0"),
+], ids=["mul", "rmul", "constant", "substitute", "field-mul"])
+def test_an_exact_rational_enters_the_ring(make, text):
+    assert make().render() == text
+
+
+def test_a_polynomial_equals_its_rational_constant_only():
+    half = Fraction(1, 2)
+    assert PhasePoly.constant(half) == half and half == PhasePoly.constant(half)
+    assert (X == half) is False and (PhasePoly.constant(half) != half) is False
 
 
 def test_a_float_never_equals_an_exact_polynomial():
